@@ -118,14 +118,6 @@ def embed_single_qubit(op: np.ndarray, n: int, site: int) -> np.ndarray:
     return np.kron(np.kron(left, op), right)
 
 
-def kron_all(ops) -> np.ndarray:
-    """Kronecker product of a sequence of operators, qubit 0 leftmost."""
-    out = np.array([[1.0 + 0.0j]])
-    for op in ops:
-        out = np.kron(out, op)
-    return out
-
-
 def ket(bits: str) -> np.ndarray:
     """Computational-basis ket from a bit string, e.g. ket('10')."""
     vecs = {"0": KET_0, "1": KET_1, "+": KET_PLUS, "-": KET_MINUS}

@@ -14,6 +14,7 @@ from resetlb.liouville import (
     bloch_vector,
     build_hamiltonian,
     dephasing_generator,
+    dissipator,
     gibbs_state,
     local_noise_generator,
     reset_generator,
@@ -21,7 +22,14 @@ from resetlb.liouville import (
     state_from_bloch,
     thermal_generator,
 )
-from resetlb.qop import bell_state, ket, projector, random_density, validate_density
+from resetlb.qop import (
+    bell_state,
+    ket,
+    local_pauli,
+    projector,
+    random_density,
+    validate_density,
+)
 from resetlb.verify import apply_master_equation
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -79,9 +87,10 @@ def test_pure_decay_steady_state():
 
 
 def test_local_noise_dephasing_special_case():
-    a = local_noise_generator(2, GasNoiseParams(B=0.0, C=2 * 0.7, s=0.9)).matrix
-    b = dephasing_generator(2, 0.7).matrix
-    assert np.max(np.abs(a - b)) < 1e-14
+    for n in (2, 3, 4):
+        a = local_noise_generator(n, GasNoiseParams(B=0.0, C=2 * 0.7, s=0.9)).matrix
+        b = dephasing_generator(n, 0.7).matrix
+        assert np.max(np.abs(a - b)) < 1e-14
 
 
 def test_local_noise_trace_preserving(rng):
@@ -296,3 +305,80 @@ def test_evolution_preserves_positivity(rng):
         res = evolve(lam, rho0, np.linspace(0, t_max, 8))
         for state in res.states:
             validate_density(state.matrix, tol=1e-9)
+
+
+# --- single-qubit blocks against the kron-sandwich formula -----------------------
+
+# one distinct reset state per qubit: pure, mixed, off-axis Bloch vector, pure
+RESET_STATES = (
+    projector(ket("+")),
+    ResetSpec.mixed(1.0, 1, 0.8, "-").states[0],
+    state_from_bloch(0.1, -0.2, 0.3),
+    projector(ket("1")),
+)
+NOISE = GasNoiseParams(B=0.83, C=1.37, s=0.29)
+
+
+def kron_noise(n, params):
+    mat = np.zeros((4**n, 4**n), dtype=complex)
+    for i in range(n):
+        mat += dissipator(local_pauli(n, i, "-"), params.B * (1 - params.s))
+        mat += dissipator(local_pauli(n, i, "+"), params.B * params.s)
+        mat += dissipator(local_pauli(n, i, "z"), (2 * params.C - params.B) / 4)
+    return mat
+
+
+def kron_dephasing(n, gamma):
+    mat = np.zeros((4**n, 4**n), dtype=complex)
+    for i in range(n):
+        mat += dissipator(local_pauli(n, i, "z"), gamma)
+    return mat
+
+
+def kron_reset(n, spec):
+    """Eight sandwiches per qubit: sum_m (|a><m|)_i rho (|m><b|)_i = (|a><b|)_i (x) tr_i rho."""
+    mat = np.zeros((4**n, 4**n), dtype=complex)
+    basis = (qop.KET_0, qop.KET_1)
+    for i, state in enumerate(spec.states):
+        for a in range(2):
+            for b in range(2):
+                for m in range(2):
+                    left = qop.embed_single_qubit(np.outer(basis[a], basis[m]), n, i)
+                    right = qop.embed_single_qubit(np.outer(basis[m], basis[b]), n, i)
+                    mat += state[a, b] * qop.left_right_superop(left, right)
+        mat -= np.eye(4**n)
+    return spec.r * mat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_single_qubit_generators_equal_kron_sandwiches(n):
+    spec = ResetSpec(1.9, RESET_STATES[:n])
+    assert np.array_equal(local_noise_generator(n, NOISE).matrix, kron_noise(n, NOISE))
+    assert np.array_equal(dephasing_generator(n, 0.61).matrix, kron_dephasing(n, 0.61))
+    assert np.array_equal(reset_generator(n, spec).matrix, kron_reset(n, spec))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_assembled_liouvillian_matches_column_by_column_oracle(n):
+    h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n)
+    spec = ResetSpec(1.9, RESET_STATES[:n])
+    lam = assemble(h, [local_noise_generator(n, NOISE), reset_generator(n, spec)])
+    d2 = 4**n
+    want = np.empty((d2, d2), dtype=complex)
+    for k, unit in enumerate(np.eye(d2)):
+        want[:, k] = qop.vec(apply_master_equation(qop.unvec(unit), h, NOISE, spec, n))
+    assert np.max(np.abs(lam.matrix - want)) < 1e-12
+
+
+def test_six_qubit_gas_liouvillian(rng):
+    """Ising gas with local noise and reset at the dense limit, 4096^2."""
+    n = 6
+    h = build_hamiltonian(HamiltonianSpec("ising", g=0.9, omega=1.3), n)
+    spec = ResetSpec(1.1, RESET_STATES + RESET_STATES[:2])
+    lam = assemble(h, [local_noise_generator(n, NOISE), reset_generator(n, spec)])
+    row = qop.vec(np.eye(2**n)) @ lam.matrix
+    assert np.max(np.abs(row)) < 1e-12
+    for _ in range(3):
+        rho = random_density(n, rng)
+        want = apply_master_equation(rho, h, NOISE, spec, n)
+        assert np.max(np.abs(lam.apply(rho) - want)) < 1e-12
