@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -28,7 +27,6 @@ from resetlb.config import (
     ExperimentConfig,
     build_liouvillian,
     gas_config,
-    hamiltonian_from_config,
     initial_state_from_config,
     parse_config,
     reset_spec_from_config,
@@ -42,15 +40,7 @@ from resetlb.entanglement import (
     poisson_average_negativity,
     poisson_reduced_negativity,
 )
-from resetlb.liouville import (
-    GasNoiseParams,
-    Superoperator,
-    ThermalBathParams,
-    assemble,
-    local_noise_generator,
-    reset_generator,
-    thermal_generator,
-)
+from resetlb.liouville import Superoperator, reset_generator
 from resetlb.spingas import bootstrap_stderr, run_ensemble
 
 
@@ -94,20 +84,6 @@ def _sweep_points(cfg: ExperimentConfig):
     return points, [outer.param, inner.param]
 
 
-def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("RESETLB_THREADS")
-    return max(1, int(env)) if env else 1
-
-
-def _run_grid(points, worker, threads: int):
-    if threads <= 1:
-        return [worker(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, points))
-
-
 def _pair_negativity(state: qop.DensityMatrix) -> float:
     if state.n_qubits == 2:
         return negativity(state, (0,))
@@ -117,19 +93,16 @@ def _pair_negativity(state: qop.DensityMatrix) -> float:
 def cmd_steady(cfg: ExperimentConfig, args) -> int:
     points, params = _sweep_points(cfg)
 
-    def worker(overrides):
+    states = []
+    for overrides in points:
         try:
-            lam = build_liouvillian(cfg.with_overrides(overrides))
-            state = steady_state(lam)
+            states.append(steady_state(build_liouvillian(cfg.with_overrides(overrides))))
         except (SteadyStateError, qop.DensityMatrixError) as exc:
             raise SolverError(f"steady-state solve failed at {overrides}: {exc}") from exc
-        return overrides, state
-
-    results = _run_grid(points, worker, _thread_count(args))
     columns = params + ["negativity"]
     rows = [
         [overrides[p] for p in params] + [_pair_negativity(state)]
-        for overrides, state in results
+        for overrides, state in zip(points, states)
     ]
     _write_csv(args.out, cfg, "steady", columns, rows, args.no_timestamp)
     if args.dump_states:
@@ -139,7 +112,7 @@ def cmd_steady(cfg: ExperimentConfig, args) -> int:
                 "re": np.real(state.matrix).tolist(),
                 "im": np.imag(state.matrix).tolist(),
             }
-            for overrides, state in results
+            for overrides, state in zip(points, states)
         ]
         with open(args.out + ".states.json", "w", encoding="utf-8") as fh:
             json.dump(dump, fh, indent=1, sort_keys=True)
@@ -177,65 +150,14 @@ def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
 def cmd_spingas(cfg: ExperimentConfig, args) -> int:
     points, params = _sweep_points(cfg)
 
-    def worker(overrides):
-        gc = gas_config(cfg.with_overrides(overrides))
-        res = run_ensemble(gc, args.runs)
+    rows = []
+    for overrides in points:
+        res = run_ensemble(gas_config(cfg.with_overrides(overrides)), args.runs)
         stderr = bootstrap_stderr(res.per_run, n_boot=200, seed=cfg.seed)
-        return overrides, res.negativity, stderr
-
-    results = _run_grid(points, worker, _thread_count(args))
+        rows.append([overrides[p] for p in params] + [res.negativity, stderr])
     columns = params + ["negativity", "stderr"]
-    rows = [[ov[p] for p in params] + [neg, se] for ov, neg, se in results]
     _write_csv(args.out, cfg, "spingas", columns, rows, args.no_timestamp)
     return 0
-
-
-def _measure_states(cfg: ExperimentConfig, r: float, n_range) -> dict[int, qop.DensityMatrix]:
-    states = {}
-    for n in n_range:
-        lam0, unit_reset = _measure_generators(cfg, n)
-        lam = Superoperator(lam0.matrix + r * unit_reset.matrix, n)
-        try:
-            states[n] = steady_state(lam)
-        except SteadyStateError as exc:
-            raise SolverError(f"steady-state solve failed at r={r}, n={n}: {exc}") from exc
-    return states
-
-
-_MEASURE_CACHE: dict = {}
-
-
-def _measure_generators(cfg: ExperimentConfig, n: int):
-    key = (cfg.canonical_json(), n)
-    if key in _MEASURE_CACHE:
-        return _MEASURE_CACHE[key]
-    try:
-        h = hamiltonian_from_config(cfg.hamiltonian, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    gens = []
-    if cfg.model == "gas":
-        params = GasNoiseParams(
-            B=float(cfg.noise.get("B", 0.0)),
-            C=float(cfg.noise.get("C", 0.0)),
-            s=float(cfg.noise.get("s", 0.5)),
-        )
-        gens.append(local_noise_generator(n, params))
-    else:
-        try:
-            params = ThermalBathParams(
-                gamma=float(cfg.noise.get("gamma", 0.0)), beta=float(cfg.noise.get("beta", 1.0))
-            )
-            # gradient fields lift degeneracies only at second order for n > 2,
-            # so the multipartite scans need the quasi-degenerate grouping
-            gens.append(thermal_generator(h, params, merge_degenerate=True))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    lam0 = assemble(h, gens, n=n)
-    spec = reset_spec_from_config({**cfg.reset, "r": 1.0}, n)
-    unit = reset_generator(n, spec)
-    _MEASURE_CACHE[key] = (lam0, unit)
-    return lam0, unit
 
 
 def cmd_measures(cfg: ExperimentConfig, args) -> int:
@@ -255,24 +177,36 @@ def cmd_measures(cfg: ExperimentConfig, args) -> int:
     if params != ["reset.r"]:
         raise ConfigError("measures expects exactly one sweep axis over reset.r")
 
-    def worker(overrides):
-        r = overrides["reset.r"]
-        states = _measure_states(cfg, r, n_range)
-        return (
-            r,
-            poisson_average_negativity(states, w_full),
-            poisson_reduced_negativity(states, w_red),
-            negativity_of_average_reduction(states, w_red),
+    # every generator is affine in r: build the r-free part and the unit-rate
+    # reset once per n.  Gradient fields lift degeneracies only at second order
+    # for n > 2, so the multipartite scans need the quasi-degenerate grouping.
+    no_reset = replace(cfg, reset={})
+    generators = {
+        n: (
+            build_liouvillian(no_reset, n, merge_degenerate=True),
+            reset_generator(n, reset_spec_from_config({**cfg.reset, "r": 1.0}, n)),
         )
-
-    results = _run_grid(points, worker, _thread_count(args))
+        for n in n_range
+    }
+    rows = []
+    for overrides in points:
+        r = overrides["reset.r"]
+        states = {}
+        for n, (base, unit) in generators.items():
+            try:
+                states[n] = steady_state(Superoperator(base.matrix + r * unit.matrix, n))
+            except SteadyStateError as exc:
+                raise SolverError(f"steady-state solve failed at r={r}, n={n}: {exc}") from exc
+        rows.append(
+            [
+                r,
+                poisson_average_negativity(states, w_full),
+                poisson_reduced_negativity(states, w_red),
+                negativity_of_average_reduction(states, w_red),
+            ]
+        )
     _write_csv(
-        args.out,
-        cfg,
-        "measures",
-        ["r", "measure_i", "measure_ii", "measure_iii"],
-        [list(row) for row in results],
-        args.no_timestamp,
+        args.out, cfg, "measures", ["r", "measure_i", "measure_ii", "measure_iii"], rows, args.no_timestamp
     )
     return 0
 
@@ -303,7 +237,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--out", default=None, help="output CSV path (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads (RESETLB_THREADS fallback)")
         p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
         if dump:
             p.add_argument("--dump-states", action="store_true", help="dump state matrices as JSON")
@@ -345,8 +278,6 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         if args.seed is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seed=args.seed)
         args.out = args.out or cfg.output
         if not args.out:

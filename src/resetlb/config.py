@@ -292,8 +292,13 @@ def hamiltonian_from_config(ham: dict, n: int) -> np.ndarray:
         raise ConfigError(str(exc)) from exc
 
 
-def build_liouvillian(cfg: ExperimentConfig, n: int | None = None) -> Superoperator:
-    """Assemble the model Liouvillian for gas / strongly_coupled configs."""
+def build_liouvillian(
+    cfg: ExperimentConfig, n: int | None = None, merge_degenerate: bool = False
+) -> Superoperator:
+    """Assemble the model Liouvillian for gas / strongly_coupled configs.
+
+    ``merge_degenerate`` is passed on to :func:`thermal_generator`.
+    """
     if cfg.model not in ("gas", "strongly_coupled"):
         raise ConfigError(f"model {cfg.model!r} has no Liouvillian")
     n = cfg.n_qubits if n is None else n
@@ -315,7 +320,7 @@ def build_liouvillian(cfg: ExperimentConfig, n: int | None = None) -> Superopera
                 gamma=float(cfg.noise.get("gamma", 0.0)),
                 beta=float(cfg.noise.get("beta", 1.0)),
             )
-            gens.append(thermal_generator(h, params))
+            gens.append(thermal_generator(h, params, merge_degenerate=merge_degenerate))
         spec = reset_spec_from_config(cfg.reset, n)
         if spec is not None and spec.r > 0:
             gens.append(reset_generator(n, spec))

@@ -150,17 +150,18 @@ def new_state(config: GasConfig, rng: np.random.Generator) -> SpinGasState:
 
 
 def _move_particles(positions: np.ndarray, u: np.ndarray, lattice) -> None:
+    """Move particles in place: ``positions`` is (..., n_particles, 2), ``u`` (..., n_particles)."""
     rows, cols = lattice
-    site = positions[:, 0] * cols + positions[:, 1]
-    shared = np.bincount(site, minlength=rows * cols)[site] > 1
+    site = positions[..., 0] * cols + positions[..., 1]
+    shared = (site[..., :, None] == site[..., None, :]).sum(axis=-1) > 1
     move_free = ~shared & (u >= LAZY_STAY_PROB)
     dir_free = np.minimum(((u - LAZY_STAY_PROB) / LAZY_STAY_PROB).astype(np.int64), 3)
     move_stuck = shared & (u < COMPLEX_ESCAPE_PROB)
     dir_stuck = np.minimum((u / COMPLEX_ESCAPE_PROB * 4).astype(np.int64), 3)
     moving = np.where(shared, move_stuck, move_free)
     direction = np.where(shared, dir_stuck, dir_free)
-    positions[:, 0] = (positions[:, 0] + moving * _DROW[direction]) % rows
-    positions[:, 1] = (positions[:, 1] + moving * _DCOL[direction]) % cols
+    positions[..., 0] = (positions[..., 0] + moving * _DROW[direction]) % rows
+    positions[..., 1] = (positions[..., 1] + moving * _DCOL[direction]) % cols
 
 
 def step(state: SpinGasState, rng: np.random.Generator) -> SpinGasState:
@@ -289,18 +290,7 @@ def _compact_ensemble(config: GasConfig, n_runs: int) -> np.ndarray:
     damp = np.ones((n_runs, 2), dtype=complex)
 
     for t in range(cfg.steps):
-        u = u_all[:, t, :n_p]
-        site = pos[..., 0] * cols + pos[..., 1]
-        shared = (site[:, :, None] == site[:, None, :]).sum(axis=-1) > 1
-        move_free = ~shared & (u >= LAZY_STAY_PROB)
-        dir_free = np.minimum(((u - LAZY_STAY_PROB) / LAZY_STAY_PROB).astype(np.int64), 3)
-        move_stuck = shared & (u < COMPLEX_ESCAPE_PROB)
-        dir_stuck = np.minimum((u / COMPLEX_ESCAPE_PROB * 4).astype(np.int64), 3)
-        moving = np.where(shared, move_stuck, move_free)
-        direction = np.where(shared, dir_stuck, dir_free)
-        pos[..., 0] = (pos[..., 0] + moving * _DROW[direction]) % rows
-        pos[..., 1] = (pos[..., 1] + moving * _DCOL[direction]) % cols
-
+        _move_particles(pos, u_all[:, t, :n_p], cfg.lattice)
         site = pos[..., 0] * cols + pos[..., 1]
         theta += cfg.psi * (site[:, 0] == site[:, 1])
         if cfg.n_env:

@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,11 @@ from resetlb.config import (
     gas_config,
     initial_state_from_config,
     parse_config,
+    reset_spec_from_config,
 )
+from resetlb.liouville import reset_generator
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def gas_cfg_dict(**over):
@@ -171,17 +177,10 @@ def test_cli_single_point_sweep(tmp_path):
     assert abs(float(neg) - 58.0 / 4368.0) < 1e-9
 
 
-def test_cli_threads_match_serial(tmp_path, monkeypatch):
-    cfg = gas_cfg_dict(sweep=[{"param": "reset.r", "min": 1, "max": 20, "points": 6}])
-    path = write_cfg(tmp_path, cfg)
-    out1 = str(tmp_path / "serial.csv")
-    out2 = str(tmp_path / "threaded.csv")
-    out3 = str(tmp_path / "env.csv")
-    assert main(["steady", "--config", path, "--out", out1, "--no-timestamp"]) == 0
-    assert main(["steady", "--config", path, "--out", out2, "--no-timestamp", "--threads", "4"]) == 0
-    monkeypatch.setenv("RESETLB_THREADS", "3")
-    assert main(["steady", "--config", path, "--out", out3, "--no-timestamp"]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read() == open(out3, "rb").read()
+def test_cli_rejects_threads_flag(tmp_path):
+    path = write_cfg(tmp_path, gas_cfg_dict())
+    out = str(tmp_path / "t.csv")
+    assert main(["steady", "--config", path, "--out", out, "--no-timestamp", "--threads", "4"]) == 1
 
 
 def test_cli_evolve_columns(tmp_path):
@@ -241,6 +240,18 @@ def test_cli_measures_and_guard(tmp_path):
     cfg["measures"]["n_max"] = 6
     path = write_cfg(tmp_path, cfg, "big.json")
     assert main(["measures", "--config", path, "--out", out, "--no-timestamp"]) == 1
+
+
+@pytest.mark.parametrize("name", ["measures_gas.json", "measures_thermal.json"])
+def test_measures_reweighting_equals_per_rate_build(name):
+    """measures re-weights r-free and unit-reset generators; that must equal a build at r."""
+    cfg = parse_config(str(CONFIGS / name))
+    for n in (2, 3, 4):
+        base = build_liouvillian(replace(cfg, reset={}), n, merge_degenerate=True)
+        unit = reset_generator(n, reset_spec_from_config({**cfg.reset, "r": 1.0}, n))
+        for r in (5.0, 37.5, 150.0):
+            direct = build_liouvillian(cfg.with_overrides({"reset.r": r}), n, merge_degenerate=True)
+            assert np.array_equal(direct.matrix, base.matrix + r * unit.matrix), (n, r)
 
 
 def test_cli_measures_strongly_coupled(tmp_path):
