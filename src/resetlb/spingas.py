@@ -30,7 +30,10 @@ Randomness: each run consumes, in order, ``n_env * 2`` uniforms for the
 initial environment positions and then ``n_particles + 2`` uniforms per
 step (moves, then the two exchange decisions).  Per-run streams are
 spawned from ``SeedSequence(config.seed)``, so ensembles are reproducible
-and independent of execution order.
+and independent of execution order.  The ensemble draws each run's
+uniforms in chunks of steps; PCG64 spends one 64-bit draw per double, so
+consecutive chunks continue the same stream as a single draw would, and
+the memory held for uniforms does not grow with ``steps``.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ LAZY_STAY_PROB = 0.2
 COMPLEX_ESCAPE_PROB = 0.02
 _DROW = np.array([1, -1, 0, 0])
 _DCOL = np.array([0, 0, 1, -1])
+_DRAW_BYTES = 4 * 2**20  # uniforms held at once by _compact_ensemble, all runs
 
 
 @dataclass(frozen=True)
@@ -149,28 +153,69 @@ def new_state(config: GasConfig, rng: np.random.Generator) -> SpinGasState:
     )
 
 
-def _move_particles(positions: np.ndarray, u: np.ndarray, lattice) -> None:
-    """Move particles in place: ``positions`` is (..., n_particles, 2), ``u`` (..., n_particles)."""
+def _neighbour_table(lattice) -> np.ndarray:
+    """``nbr[site, code]``: the site a particle on flat site
+    ``row * cols + col`` moves to.  Codes 0 and 5 stay; code ``c`` in 1..4
+    hops by ``(_DROW[c - 1], _DCOL[c - 1])``.
+    """
     rows, cols = lattice
-    site = positions[..., 0] * cols + positions[..., 1]
-    shared = (site[..., :, None] == site[..., None, :]).sum(axis=-1) > 1
-    move_free = ~shared & (u >= LAZY_STAY_PROB)
-    dir_free = np.minimum(((u - LAZY_STAY_PROB) / LAZY_STAY_PROB).astype(np.int64), 3)
-    move_stuck = shared & (u < COMPLEX_ESCAPE_PROB)
-    dir_stuck = np.minimum((u / COMPLEX_ESCAPE_PROB * 4).astype(np.int64), 3)
-    moving = np.where(shared, move_stuck, move_free)
-    direction = np.where(shared, dir_stuck, dir_free)
-    positions[..., 0] = (positions[..., 0] + moving * _DROW[direction]) % rows
-    positions[..., 1] = (positions[..., 1] + moving * _DCOL[direction]) % cols
+    here = np.arange(rows * cols)
+    row, col = np.divmod(here, cols)
+    nbr = np.empty((rows * cols, 6), dtype=np.intp)
+    nbr[:, 0] = nbr[:, 5] = here
+    nbr[:, 1:5] = (row[:, None] + _DROW) % rows * cols + (col[:, None] + _DCOL) % cols
+    return nbr
+
+
+def _move_codes(u: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Int8 move codes shaped like ``u``: (particle alone on its site,
+    particle in a collision complex).  ``out`` is optional float scratch.
+
+    The floats are the move rules' own expressions, ``(u - 0.2) / 0.2`` and
+    ``u / 0.02 * 4``.  The first is negative exactly when ``u < 0.2`` and
+    floors to -1 there, so a lone particle gets code 0 (stay) or 1 plus its
+    direction.  The second reaches 4 exactly when ``u >= 0.02`` (division is
+    monotone and 0.02 / 0.02 is 1), so capped at 4 it gives a complex member
+    1 plus its escape direction, or code 5 (stay).
+    """
+    x = np.subtract(u, LAZY_STAY_PROB, out=out)
+    x /= LAZY_STAY_PROB
+    np.floor(x, out=x)
+    np.minimum(x, 3, out=x)
+    free = x.astype(np.int8)
+    np.divide(u, COMPLEX_ESCAPE_PROB, out=x)
+    x *= 4
+    np.minimum(x, 4, out=x)
+    stuck = x.astype(np.int8)
+    free += 1
+    stuck += 1
+    return free, stuck
+
+
+def _move_sites(site: np.ndarray, free: np.ndarray, stuck: np.ndarray, nbr: np.ndarray) -> np.ndarray:
+    """One move of every particle; ``site`` is (runs, n_particles).
+
+    A particle is in a collision complex when another particle of its run
+    occupies its site; it then follows its ``stuck`` code, else its ``free``
+    code.  Shared sites are counted with one ``bincount`` over run-offset
+    keys, so the cost is linear in particles and lattice sites per run.
+    """
+    n_sites, n_codes = nbr.shape
+    keys = site + n_sites * np.arange(site.shape[0])[:, None]
+    shared = np.bincount(keys.ravel())[keys] > 1
+    code = free + shared * (stuck - free)
+    return np.take(nbr, site * n_codes + code)
 
 
 def step(state: SpinGasState, rng: np.random.Generator) -> SpinGasState:
     """One time step: moves, pairwise collision phases, then exchanges."""
     cfg = state.config
-    u = rng.random(cfg.n_particles + 2)
-    _move_particles(state.positions, u[: cfg.n_particles], cfg.lattice)
     _, cols = cfg.lattice
+    u = rng.random(cfg.n_particles + 2)
+    free, stuck = _move_codes(u[None, : cfg.n_particles])
     site = state.positions[:, 0] * cols + state.positions[:, 1]
+    site = _move_sites(site[None], free, stuck, _neighbour_table(cfg.lattice))[0]
+    state.positions[:, 0], state.positions[:, 1] = np.divmod(site, cols)
     slot_qubit = state.system_ids + list(range(2, cfg.n_particles))
     for a in range(cfg.n_particles):
         for b in range(a + 1, cfg.n_particles):
@@ -249,8 +294,11 @@ def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
     Uses a compact per-run representation (current pair phase, live
     environment phases, and running products of retired-qubit damping
     factors) that is exactly equivalent to the full phase matrix; runs are
-    propagated together as array rows.  Per-run matrices are summed in run
-    order, so results are bit-stable for a given (config, n_runs).
+    propagated together as array rows.  Uniforms are drawn per run in
+    chunks of steps (about ``_DRAW_BYTES`` for all runs together) from the
+    same streams ``simulate_run`` reads, so memory is independent of
+    ``steps``.  Per-run matrices are summed in run order, so results are
+    bit-stable for a given (config, n_runs).
     """
     if n_runs < 1:
         raise ValueError("need at least one run")
@@ -268,51 +316,67 @@ def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
     )
 
 
+def _chunk_steps(n_runs: int, n_particles: int) -> int:
+    """Steps per chunk of uniforms drawn at once by ``_compact_ensemble``."""
+    return max(1, _DRAW_BYTES // (8 * n_runs * (n_particles + 2)))
+
+
 def _compact_ensemble(config: GasConfig, n_runs: int) -> np.ndarray:
     cfg = config
     rows, cols = cfg.lattice
     n_p = cfg.n_particles
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_runs)
-    u_all = np.empty((n_runs, cfg.steps, n_p + 2))
-    pos = np.zeros((n_runs, n_p, 2), dtype=np.int64)
-    pos[:, 1, 1] = 1 % cols
-    for rid, ss in enumerate(streams):
+    rngs = []
+    site = np.zeros((n_runs, n_p), dtype=np.intp)
+    site[:, 1] = 1 % cols
+    for rid, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_runs)):
         rng = np.random.Generator(np.random.PCG64(ss))
         if cfg.n_env:
             u0 = rng.random((cfg.n_env, 2))
-            pos[rid, 2:, 0] = np.floor(u0[:, 0] * rows).astype(np.int64)
-            pos[rid, 2:, 1] = np.floor(u0[:, 1] * cols).astype(np.int64)
-        if cfg.steps:
-            u_all[rid] = rng.random((cfg.steps, n_p + 2))
+            site[rid, 2:] = (
+                np.floor(u0[:, 0] * rows).astype(np.intp) * cols
+                + np.floor(u0[:, 1] * cols).astype(np.intp)
+            )
+        rngs.append(rng)
 
+    nbr = _neighbour_table(cfg.lattice)
     theta = np.zeros(n_runs)
-    env = np.zeros((n_runs, cfg.n_env, 2))
+    env = np.zeros((2, n_runs, cfg.n_env))
     damp = np.ones((n_runs, 2), dtype=complex)
+    chunk = _chunk_steps(n_runs, n_p)
+    # run-major, so each run's draw fills its block in place; the move codes
+    # come out step-major, so every step reads contiguous rows
+    u = np.empty((n_runs, min(chunk, cfg.steps), n_p + 2))
+    scratch = np.empty((min(chunk, cfg.steps), n_runs, n_p))
 
-    for t in range(cfg.steps):
-        _move_particles(pos, u_all[:, t, :n_p], cfg.lattice)
-        site = pos[..., 0] * cols + pos[..., 1]
-        theta += cfg.psi * (site[:, 0] == site[:, 1])
-        if cfg.n_env:
-            for s in (0, 1):
-                env[:, :, s] += cfg.phi * (site[:, 2:] == site[:, s : s + 1])
-
-        u_ex = u_all[:, t, n_p:]
-        for s in (0, 1):
-            m = u_ex[:, s] < cfg.exchange_prob
-            if not m.any():
-                continue
-            damp[m, 1 - s] *= (1.0 + np.exp(1j * theta[m])) / 2.0
-            theta[m] = 0.0
+    for t0 in range(0, cfg.steps, chunk):
+        k = min(chunk, cfg.steps - t0)
+        for rid, rng in enumerate(rngs):
+            rng.random(out=u[rid, :k])
+        by_step = u[:, :k].transpose(1, 0, 2)
+        free, stuck = _move_codes(by_step[..., :n_p], scratch[:k])
+        exchanged = by_step[..., n_p:] < cfg.exchange_prob
+        for t in range(k):
+            site = _move_sites(site, free[t], stuck[t], nbr)
+            theta += cfg.psi * (site[:, 0] == site[:, 1])
             if cfg.n_env:
-                env[m, :, s] = 0.0
-            damp[m, s] = 1.0
+                for s in (0, 1):
+                    env[s] += cfg.phi * (site[:, 2:] == site[:, s : s + 1])
+
+            for s in (0, 1):
+                idx = np.flatnonzero(exchanged[t, :, s])
+                if not idx.size:
+                    continue
+                damp[idx, 1 - s] *= (1.0 + np.exp(1j * theta[idx])) / 2.0
+                theta[idx] = 0.0
+                env[s, idx] = 0.0
+                damp[idx, s] = 1.0
 
     return _compact_reduced(theta, env, damp)
 
 
 def _compact_reduced(theta, env, damp) -> np.ndarray:
-    """Per-run reduced pair matrices from the compact representation."""
+    """Per-run reduced pair matrices from the compact representation
+    (``env`` is (2, runs, n_env): each system qubit's environment phases)."""
     n_runs = theta.shape[0]
     rho = np.empty((n_runs, 4, 4), dtype=complex)
     bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
@@ -326,8 +390,8 @@ def _compact_reduced(theta, env, damp) -> np.ndarray:
                     val = val * damp[:, s]
                 elif d == -1:
                     val = val * np.conj(damp[:, s])
-            if env.shape[1]:
-                delta = env[:, :, 0] * d1 + env[:, :, 1] * d2
+            if env.shape[2]:
+                delta = env[0] * d1 + env[1] * d2
                 val = val * np.prod((1.0 + np.exp(1j * delta)) / 2.0, axis=1)
             rho[:, a, b] = val
     return rho

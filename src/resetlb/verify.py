@@ -35,7 +35,16 @@ from resetlb.liouville import (
     thermal_generator,
 )
 from resetlb.qop import local_pauli, partial_trace, partial_transpose, random_density, trace_norm
-from resetlb.spingas import GasConfig, PhaseMatrix, exchange, new_state, reduced_density, step
+from resetlb.spingas import (
+    GasConfig,
+    PhaseMatrix,
+    exchange,
+    new_state,
+    reduced_density,
+    run_ensemble,
+    simulate_run,
+    step,
+)
 
 
 @dataclass(frozen=True)
@@ -490,6 +499,18 @@ def check_graph_reduction(rng) -> CheckResult:
     return _result("graph_reduction_statevector", "spingas.reduced_density", dev, 1e-12)
 
 
+def check_ensemble_matches_reference() -> CheckResult:
+    """The batched ensemble kernel against independent reference runs on
+    the same per-run streams (collisions, exchanges and environment)."""
+    cfg = GasConfig(lattice=(3, 3), n_env=4, psi=0.4, phi=0.1, exchange_prob=0.15, steps=60, seed=602)
+    n_runs = 8
+    streams = np.random.SeedSequence(cfg.seed).spawn(n_runs)
+    want = np.array([simulate_run(cfg, np.random.Generator(np.random.PCG64(ss))).matrix for ss in streams])
+    got = run_ensemble(cfg, n_runs).per_run
+    dev = float(np.max(np.abs(got - want)))
+    return _result("ensemble_matches_reference", "spingas.run_ensemble vs spingas.simulate_run", dev, 1e-12)
+
+
 def run_checks(tol_scale: float = 1.0, formula_shift: float = 0.0, seed: int = 20260808) -> list[CheckResult]:
     """Run the full cross-check suite; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
@@ -516,6 +537,7 @@ def run_checks(tol_scale: float = 1.0, formula_shift: float = 0.0, seed: int = 2
         check_spectrum_special_point(),
         check_exchange_reduction(rng),
         check_graph_reduction(rng),
+        check_ensemble_matches_reference(),
     ]
     if tol_scale != 1.0:
         checks = [

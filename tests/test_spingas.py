@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,16 @@ from resetlb.spingas import (
     simulate_run,
     step,
 )
-from resetlb.spingas import _compact_ensemble
+from resetlb.spingas import (
+    _DROW,
+    _DCOL,
+    _chunk_steps,
+    _compact_ensemble,
+    _compact_reduced,
+    _move_codes,
+    _move_sites,
+    _neighbour_table,
+)
 from resetlb.verify import statevector_reduced
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -199,6 +210,140 @@ def test_ensemble_matches_reference_runs():
     assert np.max(np.abs(np.array(ref) - compact)) < 1e-12
     res = run_ensemble(cfg, n_runs)
     assert np.max(np.abs(res.mean_state.matrix - np.mean(ref, axis=0))) < 1e-12
+
+
+def _scalar_move(positions, i, u, lattice):
+    """Documented move rule for particle ``i``, one particle at a time.
+
+    The float expressions are the ones that define the direction
+    boundaries (``u = 0.6`` itself still hops in direction 1)."""
+    rows, cols = lattice
+    shared = any(j != i and positions[j] == positions[i] for j in range(len(positions)))
+    if shared:
+        moves = u < 0.02
+        direction = min(int(u / 0.02 * 4), 3)
+    else:
+        moves = u >= 0.2
+        direction = min(int((u - 0.2) / 0.2), 3)
+    r, c = positions[i]
+    if not moves:
+        return r, c
+    dr, dc = [(1, 0), (-1, 0), (0, 1), (0, -1)][direction]
+    return (r + dr) % rows, (c + dc) % cols
+
+
+@pytest.mark.parametrize("lattice", [(2, 2), (2, 5), (3, 3), (6, 6)], ids=lambda lat: f"{lat[0]}x{lat[1]}")
+def test_move_kernel_matches_scalar_rules(lattice):
+    rows, cols = lattice
+    rng = np.random.default_rng(rows * 10 + cols)
+    edges = np.array([0.02, 0.2, 0.4, 0.6, 0.8])
+    special = np.concatenate([edges, np.nextafter(edges, 0), np.nextafter(edges, 1), [0.0, 0.5]])
+    runs, n_p = 40, 6
+    pos = np.stack([rng.integers(0, rows, (runs, n_p)), rng.integers(0, cols, (runs, n_p))], axis=-1)
+    pos[::3, 1] = pos[::3, 0]  # forced collision complexes
+    pos[::5, 4] = pos[::5, 2]
+    pos[1, :] = pos[0, 0]  # one run packed onto a single site
+    u = rng.random((runs, n_p))
+    pick = rng.random((runs, n_p)) < 0.6
+    u[pick] = rng.choice(special, pick.sum())
+    assert np.isin(special, u).all()
+
+    free, stuck = _move_codes(u)
+    site = _move_sites(pos[..., 0] * cols + pos[..., 1], free, stuck, _neighbour_table(lattice))
+    for run in range(runs):
+        before = [tuple(p) for p in pos[run].tolist()]
+        want = [_scalar_move(before, i, float(u[run, i]), lattice) for i in range(n_p)]
+        got = [divmod(int(s), cols) for s in site[run]]
+        assert got == want, (run, before, u[run].tolist())
+
+
+def test_neighbour_table_follows_drow_dcol():
+    rows, cols = 4, 5
+    nbr = _neighbour_table((rows, cols))
+    assert nbr.shape == (rows * cols, 6)
+    for r in range(rows):
+        for c in range(cols):
+            site = r * cols + c
+            assert nbr[site, 0] == nbr[site, 5] == site
+            for d in range(4):
+                assert nbr[site, 1 + d] == ((r + _DROW[d]) % rows) * cols + (c + _DCOL[d]) % cols
+
+
+def _full_buffer_ensemble(cfg, n_runs):
+    """The ensemble as it was before chunked draws: one (runs, steps, n_p+2)
+    uniform draw up front and a pairwise site comparison per step."""
+    rows, cols = cfg.lattice
+    n_p = cfg.n_particles
+    streams = np.random.SeedSequence(cfg.seed).spawn(n_runs)
+    u_all = np.empty((n_runs, cfg.steps, n_p + 2))
+    pos = np.zeros((n_runs, n_p, 2), dtype=np.int64)
+    pos[:, 1, 1] = 1 % cols
+    for rid, ss in enumerate(streams):
+        rng = np.random.Generator(np.random.PCG64(ss))
+        if cfg.n_env:
+            u0 = rng.random((cfg.n_env, 2))
+            pos[rid, 2:, 0] = np.floor(u0[:, 0] * rows).astype(np.int64)
+            pos[rid, 2:, 1] = np.floor(u0[:, 1] * cols).astype(np.int64)
+        if cfg.steps:
+            u_all[rid] = rng.random((cfg.steps, n_p + 2))
+
+    theta = np.zeros(n_runs)
+    env = np.zeros((n_runs, cfg.n_env, 2))
+    damp = np.ones((n_runs, 2), dtype=complex)
+    for t in range(cfg.steps):
+        u = u_all[:, t, :n_p]
+        site = pos[..., 0] * cols + pos[..., 1]
+        shared = (site[..., :, None] == site[..., None, :]).sum(axis=-1) > 1
+        move_free = ~shared & (u >= 0.2)
+        dir_free = np.minimum(((u - 0.2) / 0.2).astype(np.int64), 3)
+        move_stuck = shared & (u < 0.02)
+        dir_stuck = np.minimum((u / 0.02 * 4).astype(np.int64), 3)
+        moving = np.where(shared, move_stuck, move_free)
+        direction = np.where(shared, dir_stuck, dir_free)
+        pos[..., 0] = (pos[..., 0] + moving * _DROW[direction]) % rows
+        pos[..., 1] = (pos[..., 1] + moving * _DCOL[direction]) % cols
+        site = pos[..., 0] * cols + pos[..., 1]
+        theta += cfg.psi * (site[:, 0] == site[:, 1])
+        if cfg.n_env:
+            for s in (0, 1):
+                env[:, :, s] += cfg.phi * (site[:, 2:] == site[:, s : s + 1])
+        u_ex = u_all[:, t, n_p:]
+        for s in (0, 1):
+            m = u_ex[:, s] < cfg.exchange_prob
+            if not m.any():
+                continue
+            damp[m, 1 - s] *= (1.0 + np.exp(1j * theta[m])) / 2.0
+            theta[m] = 0.0
+            if cfg.n_env:
+                env[m, :, s] = 0.0
+            damp[m, s] = 1.0
+    return _compact_reduced(theta, np.ascontiguousarray(env.transpose(2, 0, 1)), damp)
+
+
+@pytest.mark.parametrize("exchange_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n_env", [0, 3])
+def test_compact_ensemble_bit_identical_across_chunks(n_env, exchange_prob):
+    n_runs = 2000  # enough runs that a chunk holds only a few dozen steps
+    k = _chunk_steps(n_runs, 2 + n_env)
+    assert 2 <= k <= 100
+    for steps in (0, 1, k - 1, k, k + 1, 3 * k + 5):
+        cfg = GasConfig(
+            lattice=(3, 4), n_env=n_env, psi=0.7, phi=0.3, exchange_prob=exchange_prob, steps=steps, seed=123
+        )
+        assert np.array_equal(_compact_ensemble(cfg, n_runs), _full_buffer_ensemble(cfg, n_runs)), steps
+
+
+def test_compact_ensemble_memory_independent_of_steps():
+    def peak(steps):
+        cfg = GasConfig(lattice=(6, 6), n_env=8, psi=0.1, phi=0.001, exchange_prob=0.5, steps=steps, seed=4)
+        tracemalloc.start()
+        try:
+            _compact_ensemble(cfg, 200)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) <= 1.1 * peak(400)
 
 
 def test_ensemble_deterministic():
