@@ -1,16 +1,24 @@
-"""Time evolution, steady states and spectra of Liouvillian matrices."""
+"""Time evolution, steady states and spectra of Liouvillian matrices.
+
+Steady states at every D^2 come from shifted inverse iteration on L - tol*I
+with a two-vector block whose second Rayleigh quotient tests the null space
+for degeneracy; tol defaults to 1e-10 times the inf-norm of L.  scipy is
+imported where it is used, so importing the package does not load it.
+"""
 
 from __future__ import annotations
 
+import functools
+import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from resetlb import qop
 from resetlb.liouville import Superoperator
 
-FULL_EIG_MAX_DIM = 256  # largest D^2 solved by dense eigendecomposition
+_log = logging.getLogger(__name__)
+
 STATE_TOL = 1e-8  # validation tolerance for evolved states
 PSD_TOL = 1e-9  # tolerance for steady-state positivity
 RESIDUAL_TOL = 1e-9
@@ -70,6 +78,7 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         raise ValueError("dimension mismatch between state and generator")
     if not np.all(np.isfinite(lam.matrix)):
         raise ValueError("generator has non-finite entries")
+    import scipy.linalg
 
     propagators: dict[float, np.ndarray] = {}
 
@@ -108,35 +117,25 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
     )
 
 
-def _null_tol(lam: Superoperator, spectral_radius: float | None = None) -> float:
-    if spectral_radius is None:
-        # inf-norm upper bound on the spectral radius
-        spectral_radius = float(np.max(np.abs(lam.matrix).sum(axis=1)))
-    return 1e-10 * max(spectral_radius, 1e-300)
-
-
 def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.DensityMatrix:
     """Unique null vector of the Liouvillian as a density matrix.
 
-    Hermitization and trace normalization are applied after the linear
-    solve; a positivity failure beyond 1e-9 is reported as an error rather
-    than clipped, since it would mask an assembly bug.
+    One path at every D^2: shifted inverse iteration with ``null_tol``,
+    by default 1e-10 times the inf-norm of L (a spectral-radius bound).
+    A zero generator, no eigenvalue or two within tolerance of zero raise
+    :class:`SteadyStateError`.  Hermitization and trace normalization are
+    applied after the solve; a positivity failure beyond 1e-9 is reported
+    as an error rather than clipped, since it would mask an assembly bug.
+    Each solve logs D^2, tol, residual ||L rho|| and null gap at DEBUG.
     """
     d2 = lam.matrix.shape[0]
-    if d2 <= FULL_EIG_MAX_DIM:
-        evals, vecs = scipy.linalg.eig(lam.matrix)
-        tol = null_tol if null_tol is not None else _null_tol(lam, float(np.max(np.abs(evals))))
-        idx = np.flatnonzero(np.abs(evals) <= tol)
-        if idx.size == 0:
-            raise SteadyStateError("no eigenvalue within tolerance of zero")
-        if idx.size > 1:
-            raise SteadyStateError(
-                f"degenerate null space: {idx.size} eigenvalues within {tol:.2e} of zero"
-            )
-        v = vecs[:, idx[0]]
-    else:
-        tol = null_tol if null_tol is not None else _null_tol(lam)
-        v = _inverse_iteration(lam.matrix, tol)
+    norm = float(np.max(np.abs(lam.matrix).sum(axis=1)))
+    if not np.isfinite(norm):
+        raise SteadyStateError("generator has non-finite entries")
+    if norm == 0.0:
+        raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
+    tol = null_tol if null_tol is not None else 1e-10 * norm
+    v, gap = _inverse_iteration(lam.matrix, tol)
     rho = qop.unvec(v)
     rho = (rho + rho.conj().T) / 2.0
     tr = np.trace(rho).real
@@ -144,6 +143,7 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
     residual = float(np.linalg.norm(lam.matrix @ qop.vec(rho)))
+    _log.debug("steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e", d2, tol, residual, gap)
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
     try:
@@ -152,33 +152,53 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
         raise SteadyStateError(f"steady state failed validation: {exc}") from exc
 
 
-def _inverse_iteration(mat: np.ndarray, tol: float, n_vectors: int = 2) -> np.ndarray:
-    """Shifted inverse iteration targeting 0, with a second vector used to
-    detect a degenerate null space."""
-    d2 = mat.shape[0]
-    shift = tol
-    lu = scipy.linalg.lu_factor(mat - shift * np.eye(d2))
+@functools.lru_cache(maxsize=8)
+def _start_block(d2: int) -> np.ndarray:
+    """Read-only (D^2, 2) start block: vec(I)/sqrt(D^2) and a seed-0 random
+    vector.  Cached: drawing it is a large share of a D^2 = 16 solve."""
     rng = np.random.default_rng(0)
-    block = np.empty((d2, n_vectors), dtype=complex)
+    block = np.empty((d2, 2), dtype=complex)
     block[:, 0] = qop.vec(np.eye(int(round(np.sqrt(d2))))) / np.sqrt(d2)
-    for k in range(1, n_vectors):
-        block[:, k] = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    block[:, 1] = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    block.setflags(write=False)
+    return block
+
+
+def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+    """Shifted inverse iteration targeting 0 from :func:`_start_block`;
+    returns the null vector and the null gap |theta_2|, whose falling
+    within ``tol`` marks a degenerate null space."""
+    import scipy.linalg
+
+    d2 = mat.shape[0]
+    shifted = np.array(mat, dtype=complex)
+    shifted[np.diag_indices(d2)] -= tol
+    # lu_factor/lu_solve's LAPACK calls minus their wrapper cost, which dominates
+    # at D^2 = 16; an exactly zero pivot shows up as the non-finite check below
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
+    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    block = _start_block(d2)
     for _ in range(3):
-        block = scipy.linalg.lu_solve(lu, block)
+        block, _ = getrs(lu, piv, block)
+        if not np.all(np.isfinite(block)):
+            raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
         block, _ = np.linalg.qr(block)
     # Rayleigh quotients on the iterated subspace
     small = block.conj().T @ (mat @ block)
     theta, y = np.linalg.eig(small)
     order = np.argsort(np.abs(theta))
+    gap = float(abs(theta[order[1]]))
     if abs(theta[order[0]]) > tol:
         raise SteadyStateError("no eigenvalue within tolerance of zero")
-    if n_vectors > 1 and abs(theta[order[1]]) <= tol:
-        raise SteadyStateError("degenerate null space detected")
-    return block @ y[:, order[0]]
+    if gap <= tol:
+        raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
+    return block @ y[:, order[0]], gap
 
 
 def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:
     """Full Liouvillian spectrum with eigenvalues grouped within tolerance."""
+    import scipy.linalg
+
     evals = scipy.linalg.eigvals(lam.matrix)
     order = np.lexsort((evals.imag, evals.real))
     reps: list[complex] = []

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 DEFAULT_TOL = 1e-9
 
@@ -189,6 +188,8 @@ def trace_norm(mat: np.ndarray) -> float:
     """Sum of singular values."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("trace norm requires a square matrix")
+    import scipy.linalg
+
     return float(np.sum(scipy.linalg.svdvals(mat)))
 
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resetlb
 from resetlb.cli import main
 from resetlb.config import (
     ConfigError,
@@ -304,6 +308,57 @@ def test_cli_exit_code_solver_error(tmp_path):
     }
     path = write_cfg(tmp_path, cfg)
     assert main(["steady", "--config", path, "--out", str(tmp_path / "y.csv")]) == 2
+
+
+def test_cli_zero_generator_five_qubits_is_solver_error(tmp_path, capsys):
+    # no coupling, field, noise or reset: L = 0 and every state is steady
+    cfg = {
+        "model": "gas",
+        "unit": "B",
+        "n_qubits": 5,
+        "hamiltonian": {"kind": "ising", "g": 0.0, "omega": 0.0},
+        "seed": 1,
+    }
+    path = write_cfg(tmp_path, cfg)
+    assert main(["steady", "--config", path, "--out", str(tmp_path / "z.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "steady-state solve failed at" in err
+    assert "degenerate null space" in err
+
+
+def test_import_cli_does_not_load_scipy():
+    src = str(Path(resetlb.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, resetlb.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_parses_and_runs_reduced(tmp_path, name):
+    """Every shipped config parses; a copy cut to 2 points per sweep axis
+    (n_max 3 for measures, 20 runs x 50 steps for the spin gas) runs through
+    the CLI with one data row per grid point."""
+    parse_config(str(CONFIGS / name))
+    raw = json.loads((CONFIGS / name).read_text())
+    for axis in raw.get("sweep", []):
+        axis["points"] = 2
+    extra = []
+    if raw["model"] == "spingas":
+        command = "spingas"
+        raw["spingas"]["steps"] = 50
+        extra = ["--runs", "20"]
+    elif "measures" in raw:
+        command = "measures"
+        raw["measures"]["n_max"] = 3
+    else:
+        command = "steady"
+    out = tmp_path / "out.csv"
+    argv = [command, "--config", write_cfg(tmp_path, raw), "--out", str(out), "--no-timestamp", *extra]
+    assert main(argv) == 0
+    data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert len(data) == 1 + 2 ** len(raw.get("sweep", []))
 
 
 def test_cli_verify_passes():

@@ -1,7 +1,8 @@
+import logging
+
 import numpy as np
 import pytest
 
-import resetlb.dynamics as dyn
 from resetlb import analytic
 from resetlb.dynamics import (
     SteadyStateError,
@@ -167,19 +168,60 @@ def test_steady_unitary_only_model_is_degenerate():
         steady_state(assemble(h, []))
 
 
-def test_inverse_iteration_path_matches_dense(monkeypatch):
-    lam = dephasing_ising_reset(3.0, 1.0, 2.0, 4.0)
-    dense = steady_state(lam)
-    monkeypatch.setattr(dyn, "FULL_EIG_MAX_DIM", 8)
-    iterative = steady_state(lam)
-    assert np.max(np.abs(dense.matrix - iterative.matrix)) < 1e-10
+def test_inverse_iteration_path_matches_dense():
+    """The one solver path against the closed forms: the omega = 0
+    dephasing formula and the general-noise formula at B = 0, C = 2 gamma."""
+    g, gamma, r = 3.0, 1.0, 4.0
+    want = analytic.dephasing_ising_reset_steady(g, gamma, r)
+    got = steady_state(dephasing_ising_reset(g, gamma, 0.0, r))
+    assert np.max(np.abs(want.matrix - got.matrix)) < 1e-10
+    want = analytic.ising_noise_reset_steady(0.0, 2 * gamma, 0.5, g, 2.0, r)
+    got = steady_state(dephasing_ising_reset(g, gamma, 2.0, r))
+    assert np.max(np.abs(want.matrix - got.matrix)) < 1e-10
 
 
-def test_inverse_iteration_detects_degeneracy(monkeypatch):
-    monkeypatch.setattr(dyn, "FULL_EIG_MAX_DIM", 8)
+def test_inverse_iteration_detects_degeneracy():
     lam = Superoperator(np.zeros((16, 16), dtype=complex), 2)
     with pytest.raises(SteadyStateError):
         steady_state(lam, null_tol=1e-12)
+
+
+def test_inverse_iteration_detects_degeneracy_five_qubits():
+    # unitary Ising dynamics conserves every energy-diagonal state: the
+    # null gap (second Rayleigh quotient) falls inside the tolerance
+    h = build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), 5)
+    with pytest.raises(SteadyStateError, match="degenerate null space: null gap"):
+        steady_state(assemble(h, [], n=5))
+
+
+def test_steady_zero_generator_five_qubits_is_degenerate():
+    lam = Superoperator(np.zeros((1024, 1024), dtype=complex), 5)
+    with pytest.raises(SteadyStateError, match="degenerate null space"):
+        steady_state(lam)
+
+
+def test_steady_overflowing_inverse_iteration_raises():
+    # a valid generator scaled to 1e-305 puts tol below the smallest normal
+    # double, so the shifted solve overflows instead of converging
+    lam = Superoperator(1e-305 * dephasing_ising_reset(3.0, 1.0, 2.0, 4.0).matrix, 2)
+    with pytest.raises(SteadyStateError, match="overflowed"):
+        steady_state(lam)
+
+
+def test_steady_logs_residual_and_null_gap(caplog):
+    lam = dephasing_ising_reset(3.0, 1.0, 2.0, 4.0)
+    with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
+        steady_state(lam)
+    (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
+    assert record.levelno == logging.DEBUG
+    d2, tol, residual, gap = record.args
+    assert d2 == 16
+    assert tol == pytest.approx(1e-10 * np.max(np.abs(lam.matrix).sum(axis=1)))
+    assert 0.0 <= residual <= 1e-12
+    # the null gap estimates the smallest non-zero |eigenvalue| (here 4)
+    evals = np.sort(np.abs(np.linalg.eigvals(lam.matrix)))
+    assert abs(gap - evals[1]) < 0.1 * evals[1]
+    assert "null_gap" in record.getMessage()
 
 
 @pytest.mark.slow
