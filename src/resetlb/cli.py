@@ -120,24 +120,32 @@ def cmd_steady(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_evolve(cfg: ExperimentConfig, args) -> int:
-    lam = build_liouvillian(cfg)
-    rho0 = initial_state_from_config(cfg)
+    points, params = _sweep_points(cfg)
     times = np.linspace(0.0, args.t_max, args.points)
-    try:
-        result = evolve(lam, rho0, times)
-    except (qop.DensityMatrixError, ValueError) as exc:
-        raise SolverError(f"evolution failed: {exc}") from exc
+
     rows = []
-    for t, state in zip(result.times, result.states):
-        evals = np.linalg.eigvalsh(state.matrix)
-        rows.append([t, _pair_negativity(state), float(np.trace(state.matrix).real), float(evals[0])])
-    _write_csv(
-        args.out, cfg, "evolve", ["t", "negativity", "trace", "min_eigenvalue"], rows, args.no_timestamp
-    )
+    for overrides in points:
+        point = cfg.with_overrides(overrides)
+        lam = build_liouvillian(point)
+        rho0 = initial_state_from_config(point)
+        try:
+            result = evolve(lam, rho0, times)
+        except (qop.DensityMatrixError, ValueError) as exc:
+            raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
+        swept = [overrides[p] for p in params]
+        for t, state in zip(result.times, result.states):
+            evals = np.linalg.eigvalsh(state.matrix)
+            rows.append(
+                swept + [t, _pair_negativity(state), float(np.trace(state.matrix).real), float(evals[0])]
+            )
+    columns = params + ["t", "negativity", "trace", "min_eigenvalue"]
+    _write_csv(args.out, cfg, "evolve", columns, rows, args.no_timestamp)
     return 0
 
 
 def cmd_spectrum(cfg: ExperimentConfig, args) -> int:
+    if cfg.sweep:
+        raise ConfigError("spectrum takes no sweep")
     lam = build_liouvillian(cfg)
     report = spectrum(lam)
     rows = [[ev.real, ev.imag, mult] for ev, mult in zip(report.eigenvalues, report.multiplicities)]

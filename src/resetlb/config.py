@@ -30,8 +30,19 @@ Top-level schema::
       "seed": 1
     }
 
-Sweep parameters are dotted paths into the sections above, e.g.
-``reset.r``, ``hamiltonian.g``, ``noise.s``, ``spingas.exchange_prob``.
+An ``initial_state`` takes exactly the keys shown for its ``type``, and a
+``bloch`` reset state takes no ``purity`` or ``ket``.
+
+Sweep parameters are dotted paths of any depth into the sections above,
+e.g. ``reset.r``, ``hamiltonian.g``, ``noise.s``, ``spingas.exchange_prob``,
+``reset.state.purity`` or ``initial_state.phi``; the key must be present
+in the config.  ``steady``, ``evolve`` and ``spingas`` run once per grid
+point (``measures`` sweeps ``reset.r`` only, ``spectrum`` takes no sweep),
+so a swept ``evolve`` writes one block of time rows per point::
+
+    "initial_state": {"type": "weighted_graph", "phi": 0.0},
+    "sweep": [{"param": "initial_state.phi", "min": 0, "max": 3.141592653589793,
+               "points": 9}]
 """
 
 from __future__ import annotations
@@ -73,7 +84,12 @@ _RESET_KEYS = {"r", "state", "states"}
 _SPINGAS_KEYS = {"lattice", "n_env", "psi", "phi", "exchange_prob", "steps"}
 _MEASURE_KEYS = {"lam", "n_min", "n_max"}
 _SWEEP_KEYS = {"param", "min", "max", "points", "scale"}
-_INITIAL_KEYS = {"type", "phi", "ket", "re", "im"}
+_INITIAL_KEYS = {
+    "product": {"type"},
+    "weighted_graph": {"type", "phi"},
+    "matrix": {"type", "re", "im"},
+}
+_SWEPT_SECTIONS = ("hamiltonian", "noise", "reset", "initial_state", "spingas", "measures")
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -138,21 +154,24 @@ class ExperimentConfig:
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def with_overrides(self, overrides: dict[str, float]) -> "ExperimentConfig":
-        """New config with dotted-path parameters replaced."""
-        sections = {
-            "hamiltonian": dict(self.hamiltonian),
-            "noise": dict(self.noise),
-            "reset": dict(self.reset),
-            "spingas": dict(self.spingas),
-            "measures": dict(self.measures),
-        }
+        """New config with dotted-path parameters (of any depth) replaced.
+
+        Every dict on a path is copied, so ``self`` is never mutated.
+        """
+        sections: dict[str, dict] = {}
         for path, value in overrides.items():
-            section, _, key = path.partition(".")
-            if section not in sections or not key:
+            head, *keys = path.split(".")
+            if head not in _SWEPT_SECTIONS or not keys:
                 raise ConfigError(f"unknown sweep parameter {path!r}")
-            if key not in sections[section]:
+            node = sections.setdefault(head, dict(getattr(self, head)))
+            for key in keys[:-1]:
+                if not isinstance(node.get(key), dict):
+                    raise ConfigError(f"sweep parameter {path!r} not present in config")
+                node[key] = dict(node[key])
+                node = node[key]
+            if keys[-1] not in node:
                 raise ConfigError(f"sweep parameter {path!r} not present in config")
-            sections[section][key] = value
+            node[keys[-1]] = value
         return replace(self, **sections)
 
 
@@ -178,7 +197,10 @@ def parse_config(data) -> ExperimentConfig:
     reset = dict(data.get("reset", {}))
     _check_keys(reset, _RESET_KEYS, "reset")
     init = dict(data.get("initial_state", {}))
-    _check_keys(init, _INITIAL_KEYS, "initial_state")
+    init_kind = init.get("type", "product")
+    if init_kind not in _INITIAL_KEYS:
+        raise ConfigError(f"unknown initial state type {init_kind!r}")
+    _check_keys(init, _INITIAL_KEYS[init_kind], f"initial_state ({init_kind})")
     sgas = dict(data.get("spingas", {}))
     _check_keys(sgas, _SPINGAS_KEYS, "spingas")
     meas = dict(data.get("measures", {}))
@@ -254,6 +276,8 @@ def _reset_state(spec) -> np.ndarray:
     if isinstance(spec, dict):
         _check_keys(spec, {"purity", "ket", "bloch"}, "reset state")
         if "bloch" in spec:
+            if len(spec) > 1:
+                raise ConfigError("reset state takes bloch alone, without purity or ket")
             b1, b2, b3 = (float(x) for x in spec["bloch"])
             from resetlb.liouville import state_from_bloch
 

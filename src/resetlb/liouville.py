@@ -2,10 +2,11 @@
 
 Every builder returns a :class:`Superoperator` acting on column-stacked
 density matrices, ``d/dt vec(rho) = L vec(rho)``.  The Hamiltonian part
-``-i[H, rho]`` is added separately by :func:`assemble` so that dissipators
-can be combined freely.  The single-qubit generators (local noise,
-dephasing, reset) are placed as 4x4 blocks by vec-index arithmetic, in
-O(n 4^n) work; the Hamiltonian and thermal parts use kron products.
+``-i[H, rho]`` is written by :func:`assemble` straight into the one
+D^2 x D^2 result, so that dissipators can be combined freely.  The
+single-qubit generators (local noise, dephasing, reset) are placed as 4x4
+blocks by vec-index arithmetic, in O(n 4^n) work; the thermal part uses
+kron products.
 """
 
 from __future__ import annotations
@@ -258,12 +259,6 @@ def dissipator(jump: np.ndarray, rate: float = 1.0) -> np.ndarray:
     )
 
 
-def hamiltonian_superoperator(h: np.ndarray) -> np.ndarray:
-    """Matrix of rho -> -i [H, rho]."""
-    eye = np.eye(h.shape[0])
-    return -1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
-
-
 def _embed_local(mat: np.ndarray, n: int, site: int, block: np.ndarray) -> None:
     """Add a 4x4 single-qubit superoperator (indexed c*2 + r, as
     :func:`dissipator` on 2x2 operators) at ``site`` of the n-qubit ``mat``.
@@ -319,7 +314,8 @@ def reset_generator(n: int, spec: ResetSpec) -> Superoperator:
     for i, reset_state in enumerate(spec.states):
         _embed_local(mat, n, i, np.outer(qop.vec(reset_state), qop.vec(np.eye(2))))
         mat.reshape(-1)[:: d2 + 1] -= 1.0
-    return Superoperator(spec.r * mat, n)
+    mat *= spec.r
+    return Superoperator(mat, n)
 
 
 def reset_lindblad_matrix(bloch: tuple[float, float, float], r: float) -> np.ndarray:
@@ -426,12 +422,18 @@ def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superope
         raise ValueError("nothing to assemble")
     if n is None:
         n = n_qubits_of(h.shape[0]) if h is not None else gens[0].n_qubits
-    d2 = 4**n
-    mat = np.zeros((d2, d2), dtype=complex)
+    d = 2**n
+    mat = np.zeros((d * d, d * d), dtype=complex)
     if h is not None:
-        if h.shape[0] != 2**n:
+        if h.shape[0] != d:
             raise ValueError("Hamiltonian dimension mismatch")
-        mat += hamiltonian_superoperator(h)
+        # -i[H, .] in place: vec index col*D + row, so the 4-index view is
+        # [col, row, col', row']; H rho acts on rows, rho H on columns
+        blocks = mat.reshape(d, d, d, d)
+        k = np.arange(d)
+        blocks[k, :, k, :] += h
+        blocks[:, k, :, k] -= h.T
+        mat *= -1j
     for gen in gens:
         if gen.n_qubits != n:
             raise ValueError("generator dimension mismatch")

@@ -1,5 +1,6 @@
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -18,9 +19,11 @@ from resetlb.config import (
     parse_config,
     reset_spec_from_config,
 )
-from resetlb.liouville import reset_generator
+from resetlb.liouville import ResetSpec, reset_generator
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+EXPERIMENTS = runpy.run_path(str(ROOT / "scripts" / "run_experiments.py"))["EXPERIMENTS"]
 
 
 def gas_cfg_dict(**over):
@@ -85,6 +88,30 @@ def test_with_overrides_unknown_param():
     assert out.reset["r"] == 3.0
 
 
+def test_with_overrides_nested_paths_copy():
+    base = parse_config(gas_cfg_dict(reset={"r": 1.0, "state": {"purity": 1.0, "ket": "plus"}}))
+    out = base.with_overrides({"reset.state.purity": 0.9, "reset.r": 2.0})
+    assert out.reset == {"r": 2.0, "state": {"purity": 0.9, "ket": "plus"}}
+    assert base.reset == {"r": 1.0, "state": {"purity": 1.0, "ket": "plus"}}
+    with pytest.raises(ConfigError, match="not present"):
+        base.with_overrides({"reset.state.colour": 0.5})
+    with pytest.raises(ConfigError, match="not present"):
+        parse_config(gas_cfg_dict()).with_overrides({"reset.state.purity": 0.9})  # "state": "plus"
+    with pytest.raises(ConfigError, match="unknown sweep parameter"):
+        base.with_overrides({"sweep.points": 3})
+    graph = parse_config(gas_cfg_dict(initial_state={"type": "weighted_graph", "phi": 0.0}))
+    assert graph.with_overrides({"initial_state.phi": 1.5}).initial_state["phi"] == 1.5
+    assert graph.initial_state["phi"] == 0.0
+
+
+def test_mixed_reset_from_config_equals_reset_spec():
+    for purity in (1.0, 0.98):
+        spec = reset_spec_from_config({"r": 3.0, "state": {"purity": purity, "ket": "plus"}}, 2)
+        want = ResetSpec.pure(3.0, 2, "+") if purity == 1.0 else ResetSpec.mixed(3.0, 2, purity, "+")
+        assert all(np.array_equal(a, b) for a, b in zip(spec.states, want.states))
+        assert np.array_equal(reset_generator(2, spec).matrix, reset_generator(2, want).matrix)
+
+
 def test_reset_state_forms():
     cfg = parse_config(gas_cfg_dict(reset={"r": 1.0, "state": {"purity": 0.9, "ket": "plus"}}))
     assert build_liouvillian(cfg).n_qubits == 2
@@ -94,6 +121,8 @@ def test_reset_state_forms():
         parse_config(gas_cfg_dict(reset={"r": 1.0, "state": "sideways"}))
     with pytest.raises(ConfigError):
         parse_config(gas_cfg_dict(reset={"r": 1.0, "state": {"purity": 2.0}}))
+    with pytest.raises(ConfigError, match="bloch alone"):
+        parse_config(gas_cfg_dict(reset={"r": 1.0, "state": {"bloch": [0.2, 0.0, 0.1], "purity": 0.5}}))
 
 
 def test_initial_state_forms():
@@ -107,6 +136,18 @@ def test_initial_state_forms():
     assert abs(rho.matrix[0, 0] - 0.25) < 1e-12
     with pytest.raises(ConfigError):
         initial_state_from_config(parse_config(gas_cfg_dict(initial_state={"type": "vortex"})))
+    # keys are checked per type, so a swept phi cannot be silently ignored
+    for bad in (
+        {"type": "product", "phi": 1.0},
+        {"phi": 1.0},
+        {"type": "weighted_graph", "phi": 1.0, "ket": "plus"},
+        {"type": "matrix", "re": np.eye(4).tolist(), "phi": 1.0},
+    ):
+        with pytest.raises(ConfigError, match="initial_state"):
+            parse_config(gas_cfg_dict(initial_state=bad))
+    mixed = {"type": "matrix", "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+    cfg = parse_config(gas_cfg_dict(initial_state=mixed))
+    assert abs(initial_state_from_config(cfg).matrix[3, 3] - 0.25) < 1e-12
 
 
 def test_spingas_config_round_trip():
@@ -198,6 +239,39 @@ def test_cli_evolve_columns(tmp_path):
     for row in lines[1:]:
         t, neg, tr, mn = (float(x) for x in row.split(","))
         assert abs(tr - 1.0) < 1e-9 and mn > -1e-9
+
+
+def test_cli_evolve_sweep_blocks_equal_unswept_runs(tmp_path):
+    times = ["--t-max", "0.5", "--points", "4", "--no-timestamp"]
+    cfg = gas_cfg_dict(
+        initial_state={"type": "weighted_graph", "phi": 0.0},
+        sweep=[
+            {"param": "reset.r", "min": 1.0, "max": 4.0, "points": 2},
+            {"param": "initial_state.phi", "min": 0.0, "max": np.pi, "points": 3},
+        ],
+    )
+    out = tmp_path / "swept.csv"
+    assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out", str(out), *times]) == 0
+    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "reset.r,initial_state.phi,t,negativity,trace,min_eigenvalue"
+    rows = [l.split(",") for l in lines[1:]]
+    assert len(rows) == 2 * 3 * 4
+    points = sorted({(r[0], r[1]) for r in rows})
+    assert len(points) == 6
+    for r, phi in points:
+        single = dict(cfg, sweep=[], reset={"r": float(r), "state": "plus"},
+                      initial_state={"type": "weighted_graph", "phi": float(phi)})
+        ref = tmp_path / "single.csv"
+        assert main(["evolve", "--config", write_cfg(tmp_path, single, "single.json"), "--out", str(ref), *times]) == 0
+        want = [l for l in ref.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [",".join(row[2:]) for row in rows if (row[0], row[1]) == (r, phi)] == want
+
+
+def test_cli_spectrum_rejects_sweep(tmp_path, capsys):
+    cfg = gas_cfg_dict(sweep=[{"param": "reset.r", "min": 1.0, "max": 2.0, "points": 2}])
+    out = str(tmp_path / "spec.csv")
+    assert main(["spectrum", "--config", write_cfg(tmp_path, cfg), "--out", out, "--no-timestamp"]) == 1
+    assert "spectrum takes no sweep" in capsys.readouterr().err
 
 
 def test_cli_spectrum(tmp_path):
@@ -335,30 +409,36 @@ def test_import_cli_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def test_experiment_table_names_every_config():
+    names = [name for _, name, _ in EXPERIMENTS]
+    assert sorted(names) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
 def test_shipped_config_parses_and_runs_reduced(tmp_path, name):
     """Every shipped config parses; a copy cut to 2 points per sweep axis
-    (n_max 3 for measures, 20 runs x 50 steps for the spin gas) runs through
-    the CLI with one data row per grid point."""
+    (n_max 3 for measures, 20 runs x 50 steps for the spin gas, 3 time
+    points for evolve) runs through the CLI with the subcommand and
+    arguments of its ``run_experiments.py`` row, giving one data row per
+    grid point and time."""
     parse_config(str(CONFIGS / name))
+    command, extra = next((cmd, args) for cmd, stem, args in EXPERIMENTS if f"{stem}.json" == name)
     raw = json.loads((CONFIGS / name).read_text())
     for axis in raw.get("sweep", []):
         axis["points"] = 2
-    extra = []
-    if raw["model"] == "spingas":
-        command = "spingas"
+    reduced, rows_per_point = [], 1
+    if command == "spingas":
         raw["spingas"]["steps"] = 50
-        extra = ["--runs", "20"]
-    elif "measures" in raw:
-        command = "measures"
+        reduced = ["--runs", "20"]
+    elif command == "measures":
         raw["measures"]["n_max"] = 3
-    else:
-        command = "steady"
+    elif command == "evolve":
+        reduced, rows_per_point = ["--points", "3"], 3
     out = tmp_path / "out.csv"
-    argv = [command, "--config", write_cfg(tmp_path, raw), "--out", str(out), "--no-timestamp", *extra]
+    argv = [command, "--config", write_cfg(tmp_path, raw), "--out", str(out), "--no-timestamp", *extra, *reduced]
     assert main(argv) == 0
     data = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert len(data) == 1 + 2 ** len(raw.get("sweep", []))
+    assert len(data) == 1 + rows_per_point * 2 ** len(raw.get("sweep", []))
 
 
 def test_cli_verify_passes():

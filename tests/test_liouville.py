@@ -382,3 +382,28 @@ def test_six_qubit_gas_liouvillian(rng):
         rho = random_density(n, rng)
         want = apply_master_equation(rho, h, NOISE, spec, n)
         assert np.max(np.abs(lam.apply(rho) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_assemble_commutator_equals_kron_formula(n):
+    h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n) if n > 1 else 0.3 * qop.PAULI["y"]
+    eye = np.eye(2**n)
+    want = -1j * (qop.left_right_superop(h, eye) - qop.left_right_superop(eye, h))
+    assert np.array_equal(assemble(h, []).matrix, want)
+
+
+def test_five_qubit_assembly_peak_memory():
+    """build_liouvillian holds its generators and the result, not kron temporaries."""
+    import tracemalloc
+    from pathlib import Path
+
+    from resetlb.config import build_liouvillian, parse_config
+
+    cfg = parse_config(str(Path(__file__).resolve().parent.parent / "configs" / "measures_gas.json"))
+    tracemalloc.start()
+    try:
+        lam = build_liouvillian(cfg, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * lam.matrix.nbytes
