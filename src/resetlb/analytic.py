@@ -164,18 +164,13 @@ def transverse_ising_ground_state(b: float) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def thermal_negativity_transverse_ising(g: float, b: float, beta: float) -> float:
-    """Negativity of exp(-beta H)/Z for H = g(sz.sz + b(sx1 + sx2)).
+def _thermal_part(g: float, b: float, beta: float) -> float:
+    """Thermal negativity of the transverse Ising pair before clipping at
+    zero: negative where the Gibbs state is separable.
 
     Evaluated in a form scaled by exp(-sqrt(4b^2+1) g beta) so that large
-    beta (criteria use beta up to 1e3) does not overflow.  The non-trivial
-    part tends to -1/4 as beta -> 0 and to 1/(2 sqrt(4b^2+1)) as
-    beta -> infinity.
+    beta (criteria use beta up to 1e3) does not overflow.
     """
-    if b == 0:
-        raise ValueError("b = 0 is degenerate and excluded")
-    if g <= 0 or beta <= 0:
-        raise ValueError("g and beta must be positive")
     c = np.sqrt(4 * b * b + 1)
     x = g * beta
     y = c * x
@@ -184,25 +179,30 @@ def thermal_negativity_transverse_ising(g: float, b: float, beta: float) -> floa
     ex = np.exp(x - y) + np.exp(-x - y)
     num = ex - (1.0 - np.exp(-2 * y)) / c
     den = 2 * (ex + 1.0 + np.exp(-2 * y))
-    return float(max(0.0, -num / den))
+    return -num / den
+
+
+def thermal_negativity_transverse_ising(g: float, b: float, beta: float) -> float:
+    """Negativity of exp(-beta H)/Z for H = g(sz.sz + b(sx1 + sx2)).
+
+    The unclipped value tends to -1/4 as beta -> 0 and to
+    1/(2 sqrt(4b^2+1)) as beta -> infinity.
+    """
+    if b == 0:
+        raise ValueError("b = 0 is degenerate and excluded")
+    if g <= 0 or beta <= 0:
+        raise ValueError("g and beta must be positive")
+    return float(max(0.0, _thermal_part(g, b, beta)))
 
 
 def thermal_negativity_root(g: float, b: float, lo: float = 1e-8, hi: float = 1e4) -> float:
     """Inverse temperature where the thermal negativity first becomes
     positive, found by bisection; below it the thermal state is separable."""
-
-    def part(beta):
-        c = np.sqrt(4 * b * b + 1)
-        x = g * beta
-        y = c * x
-        ex = np.exp(x - y) + np.exp(-x - y)
-        return -(ex - (1.0 - np.exp(-2 * y)) / c) / (2 * (ex + 1.0 + np.exp(-2 * y)))
-
-    if part(lo) >= 0 or part(hi) <= 0:
+    if _thermal_part(g, b, lo) >= 0 or _thermal_part(g, b, hi) <= 0:
         raise ValueError("no sign change in the given beta bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if part(mid) < 0:
+        if _thermal_part(g, b, mid) < 0:
             lo = mid
         else:
             hi = mid

@@ -1,7 +1,9 @@
 """Experiment configuration: strict JSON schema and model assembly.
 
 Configs are JSON objects; unknown keys anywhere are hard errors so that a
-misspelled physics parameter cannot silently fall back to a default.  All
+misspelled physics parameter cannot silently fall back to a default; so
+are sections the model never reads (``spingas`` in a gas or
+strongly_coupled config, the other sections in a spingas config).  All
 rates are numbers in units of the declared unit rate (``unit``, e.g. "B"
 or "gamma"); the unit name is metadata echoed into output headers.
 
@@ -36,9 +38,10 @@ An ``initial_state`` takes exactly the keys shown for its ``type``, and a
 Sweep parameters are dotted paths of any depth into the sections above,
 e.g. ``reset.r``, ``hamiltonian.g``, ``noise.s``, ``spingas.exchange_prob``,
 ``reset.state.purity`` or ``initial_state.phi``; the key must be present
-in the config.  ``steady``, ``evolve`` and ``spingas`` run once per grid
-point (``measures`` sweeps ``reset.r`` only, ``spectrum`` takes no sweep),
-so a swept ``evolve`` writes one block of time rows per point::
+in the config when it is parsed.  ``steady``, ``evolve`` and ``spingas``
+run once per grid point (``measures`` sweeps ``reset.r`` only,
+``spectrum`` takes no sweep), so a swept ``evolve`` writes one block of
+time rows per point::
 
     "initial_state": {"type": "weighted_graph", "phi": 0.0},
     "sweep": [{"param": "initial_state.phi", "min": 0, "max": 3.141592653589793,
@@ -73,9 +76,12 @@ class ConfigError(ValueError):
 
 
 _MODELS = ("gas", "strongly_coupled", "spingas")
-_TOP_KEYS = {
-    "model", "unit", "n_qubits", "hamiltonian", "noise", "reset",
-    "initial_state", "spingas", "measures", "sweep", "output", "seed",
+_LINDBLAD_SECTIONS = {"hamiltonian", "noise", "reset", "initial_state", "measures"}
+_COMMON_KEYS = {"model", "unit", "n_qubits", "sweep", "output", "seed"}
+_TOP_KEYS = {  # per model: a section the model never reads is an unknown key
+    "gas": _COMMON_KEYS | _LINDBLAD_SECTIONS,
+    "strongly_coupled": _COMMON_KEYS | _LINDBLAD_SECTIONS,
+    "spingas": _COMMON_KEYS | {"spingas"},
 }
 _HAM_KEYS = {"kind", "g", "omega", "b", "cx", "cy", "cz", "cfield", "matrix"}
 _GAS_NOISE_KEYS = {"B", "C", "s"}
@@ -89,7 +95,7 @@ _INITIAL_KEYS = {
     "weighted_graph": {"type", "phi"},
     "matrix": {"type", "re", "im"},
 }
-_SWEPT_SECTIONS = ("hamiltonian", "noise", "reset", "initial_state", "spingas", "measures")
+_SWEPT_SECTIONS = _LINDBLAD_SECTIONS | {"spingas"}
 
 
 def _check_keys(section: dict, allowed: set, where: str) -> None:
@@ -107,11 +113,11 @@ class SweepAxis:
     scale: str = "linear"
 
     def values(self) -> np.ndarray:
+        if self.scale == "log" and min(self.lo, self.hi) <= 0:
+            raise ConfigError("log-scale sweep needs positive bounds")
         if self.points == 1:
             return np.array([self.lo])
         if self.scale == "log":
-            if self.lo <= 0:
-                raise ConfigError("log-scale sweep needs positive bounds")
             return np.geomspace(self.lo, self.hi, self.points)
         return np.linspace(self.lo, self.hi, self.points)
 
@@ -182,10 +188,13 @@ def parse_config(data) -> ExperimentConfig:
             data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    _check_keys(data, _TOP_KEYS, "top level")
     model = data.get("model")
     if model not in _MODELS:
         raise ConfigError(f"model must be one of {_MODELS}, got {model!r}")
+    _check_keys(data, _TOP_KEYS[model], f"top level of a {model} config")
+    for name in _SWEPT_SECTIONS & set(data):
+        if not isinstance(data[name], dict):
+            raise ConfigError(f"{name} must be a JSON object")
 
     ham = dict(data.get("hamiltonian", {}))
     _check_keys(ham, _HAM_KEYS, "hamiltonian")
@@ -208,6 +217,8 @@ def parse_config(data) -> ExperimentConfig:
 
     axes = []
     for raw in data.get("sweep", []):
+        if not isinstance(raw, dict):
+            raise ConfigError("each sweep axis must be a JSON object")
         _check_keys(raw, _SWEEP_KEYS, "sweep axis")
         try:
             axis = SweepAxis(
@@ -219,15 +230,21 @@ def parse_config(data) -> ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"sweep axis missing key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep axis min, max and points must be numbers: {exc}") from None
         if axis.points < 1:
             raise ConfigError("sweep axis needs points >= 1")
         if axis.scale not in ("linear", "log"):
             raise ConfigError(f"unknown sweep scale {axis.scale!r}")
+        axis.values()
         axes.append(axis)
     if len(axes) > 2:
         raise ConfigError("at most two sweep axes are supported")
 
-    n_qubits = int(data.get("n_qubits", 2))
+    try:
+        n_qubits, seed = int(data.get("n_qubits", 2)), int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"n_qubits and seed must be integers: {exc}") from None
     if model != "spingas" and not 1 <= n_qubits <= 6:
         raise ConfigError("n_qubits must be between 1 and 6")
 
@@ -243,9 +260,11 @@ def parse_config(data) -> ExperimentConfig:
         measures=meas,
         sweep=tuple(axes),
         output=data.get("output"),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
     )
-    # surface obviously broken physics sections at parse time
+    # surface misspelled sweep paths and broken physics sections at parse time
+    for axis in axes:
+        cfg.with_overrides({axis.param: axis.lo})
     if model in ("gas", "strongly_coupled"):
         build_liouvillian(cfg)
     else:

@@ -30,12 +30,11 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """States on a time grid plus integrator metadata."""
+    """States on a time grid plus the error estimate of the largest
+    propagator (one step against two half steps)."""
 
     times: np.ndarray
     states: tuple[qop.DensityMatrix, ...]
-    method: str
-    step_count: int
     error_estimate: float
 
     def negativities(self, part=(0,)) -> np.ndarray:
@@ -111,8 +110,6 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
     return EvolutionResult(
         times=times,
         states=tuple(states),
-        method="expm",
-        step_count=len(times),
         error_estimate=err,
     )
 

@@ -5,8 +5,10 @@ density matrices, ``d/dt vec(rho) = L vec(rho)``.  The Hamiltonian part
 ``-i[H, rho]`` is written by :func:`assemble` straight into the one
 D^2 x D^2 result, so that dissipators can be combined freely.  The
 single-qubit generators (local noise, dephasing, reset) are placed as 4x4
-blocks by vec-index arithmetic, in O(n 4^n) work; the thermal part uses
-kron products.
+blocks by vec-index arithmetic, in O(n 4^n) work.  The thermal part is a
+rank-D population transfer plus one-sided products with a D x D matrix,
+also written by vec-index arithmetic; its cost is one D^2 x D x D^2
+product.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from resetlb import qop
 from resetlb.qop import left_right_superop, local_pauli, n_qubits_of
 
 TRACE_ROW_TOL = 1e-10
+_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,20 +348,20 @@ def gibbs_state(h: np.ndarray, beta: float) -> np.ndarray:
 
 
 def thermal_generator(
-    h: np.ndarray,
-    params: ThermalBathParams,
-    degeneracy_tol: float = 1e-8,
-    merge_degenerate: bool = False,
+    h: np.ndarray, params: ThermalBathParams, merge_degenerate: bool = False
 ) -> Superoperator:
     """Photon-bath dissipator driving the system to the Gibbs state of H.
 
     Transitions act between eigenstates |a> -> |b> with rate
     2*gamma*[N(dE) |<b|sm_j|a>|^2] for emission (E_a > E_b, weight N+1) and
     absorption (E_a < E_b, weight N), summed over the per-qubit lowering
-    operators sm_j; the spectral density is treated as constant.
+    operators sm_j; the spectral density is treated as constant.  The sum
+    of rate[a, b] D[|b><a|] is the anticommutator -{K, rho}/2 with
+    K = V diag(out_rate) V+ plus the population transfer W rate^T W+,
+    where column b of W is vec(|b><b|).
 
     By default a Hamiltonian with an eigenvalue gap below
-    ``degeneracy_tol`` x spectral radius is rejected.  With
+    ``_DEGENERACY_TOL`` x spectral radius is rejected.  With
     ``merge_degenerate=True`` quasi-degenerate levels are instead grouped:
     no transitions act within a group and level differences use group-mean
     energies, so the fixed point is the Gibbs state of the grouped
@@ -369,50 +372,37 @@ def thermal_generator(
     n = n_qubits_of(h.shape[0])
     evals, vecs = np.linalg.eigh(h)
     scale = max(np.max(np.abs(evals)), 1e-300)
-    gaps = np.diff(evals)
-    if not merge_degenerate and gaps.size and np.min(gaps) < degeneracy_tol * scale:
+    split = np.diff(evals) >= _DEGENERACY_TOL * scale
+    if not merge_degenerate and not np.all(split):
         raise ValueError(
-            f"Hamiltonian is degenerate within {degeneracy_tol:.1e} x spectral radius"
+            f"Hamiltonian is degenerate within {_DEGENERACY_TOL:.1e} x spectral radius"
         )
-    d = h.shape[0]
     # quasi-degenerate grouping (trivial groups when all gaps are large)
-    group = np.zeros(d, dtype=int)
-    for k in range(1, d):
-        group[k] = group[k - 1] + (1 if evals[k] - evals[k - 1] >= degeneracy_tol * scale else 0)
-    level = np.array([evals[group == gid].mean() for gid in range(group[-1] + 1)])
+    group = np.concatenate(([0], np.cumsum(split)))
+    level = (np.bincount(group, evals) / np.bincount(group))[group]
     # squared lowering-operator matrix elements in the eigenbasis, summed per qubit
-    melem = np.zeros((d, d))
-    for j in range(n):
-        sm_eig = vecs.conj().T @ local_pauli(n, j, "-") @ vecs
-        melem += np.abs(sm_eig) ** 2
-    # rate[a, b]: population transfer a -> b
-    rate = np.zeros((d, d))
+    melem = sum(np.abs(vecs.conj().T @ local_pauli(n, j, "-") @ vecs) ** 2 for j in range(n))
+    # rate[a, b]: population transfer a -> b; N = 1/expm1(inf) = 0 inside a group
+    de = level[:, None] - level[None, :]
     with np.errstate(over="ignore"):
-        for a in range(d):
-            for b in range(d):
-                if group[a] == group[b]:
-                    continue
-                de = level[group[a]] - level[group[b]]
-                if de > 0:  # emission, N + 1
-                    nbar = 1.0 / np.expm1(params.beta * de)
-                    rate[a, b] = 2 * params.gamma * (nbar + 1.0) * melem[b, a]
-                else:  # absorption, N
-                    nbar = 1.0 / np.expm1(params.beta * (-de))
-                    rate[a, b] = 2 * params.gamma * nbar * melem[a, b]
-    # build in the eigenbasis: sandwich moves populations, anticommutator
-    # damps every vec component by the mean out-rate of its two indices
-    out_rate = rate.sum(axis=1)
-    lam_eig = np.zeros((d * d, d * d), dtype=complex)
-    damp = -0.5 * (out_rate[:, None] + out_rate[None, :])  # damping of rho[row, col]
-    lam_eig[np.arange(d * d), np.arange(d * d)] = qop.vec(damp)
-    for a in range(d):
-        for b in range(d):
-            if rate[a, b]:
-                lam_eig[b * d + b, a * d + a] += rate[a, b]
-    # transform back to the computational basis
-    to_comp = np.kron(vecs.conj(), vecs)
-    from_comp = np.kron(vecs.T, vecs.conj().T)
-    return Superoperator(to_comp @ lam_eig @ from_comp, n)
+        nbar = 1.0 / np.expm1(np.where(group[:, None] == group, np.inf, params.beta * np.abs(de)))
+    gamma2 = 2 * params.gamma
+    rate = np.where(de > 0, gamma2 * (nbar + 1.0) * melem.T, gamma2 * nbar * melem)
+    k_half = (vecs * (-0.5 * rate.sum(axis=1))) @ vecs.conj().T
+    w = (vecs.conj()[:, None, :] * vecs[None, :, :]).reshape(-1, len(evals))
+    mat = (w @ rate.T) @ w.conj().T
+    _add_sides(mat, k_half, k_half)
+    return Superoperator(mat, n)
+
+
+def _add_sides(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Add vec(left rho + rho right) to ``mat`` in place: its 4-index view is
+    [col, row, col', row'], so ``left`` acts on rows and ``right`` on columns."""
+    d = left.shape[0]
+    blocks = mat.reshape(d, d, d, d)
+    k = np.arange(d)
+    blocks[k, :, k, :] += left
+    blocks[:, k, :, k] += right.T
 
 
 def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superoperator:
@@ -427,13 +417,7 @@ def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superope
     if h is not None:
         if h.shape[0] != d:
             raise ValueError("Hamiltonian dimension mismatch")
-        # -i[H, .] in place: vec index col*D + row, so the 4-index view is
-        # [col, row, col', row']; H rho acts on rows, rho H on columns
-        blocks = mat.reshape(d, d, d, d)
-        k = np.arange(d)
-        blocks[k, :, k, :] += h
-        blocks[:, k, :, k] -= h.T
-        mat *= -1j
+        _add_sides(mat, -1j * h, 1j * h)
     for gen in gens:
         if gen.n_qubits != n:
             raise ValueError("generator dimension mismatch")

@@ -284,8 +284,6 @@ class EnsembleResult:
     mean_state: qop.DensityMatrix
     negativity: float
     per_run: np.ndarray  # (n_runs, 4, 4)
-    n_runs: int
-    seed: int
 
 
 def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
@@ -311,8 +309,6 @@ def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
         mean_state=state,
         negativity=_neg(state, (0,)),
         per_run=rho_runs,
-        n_runs=n_runs,
-        seed=config.seed,
     )
 
 

@@ -173,6 +173,15 @@ def test_thermal_crossing_root_matches_numeric_sign_change():
     assert abs(root - 0.5 * (lo + hi)) / root < 1e-6
 
 
+def test_thermal_negativity_and_root_golden_values():
+    """Both public functions read one private closed form; its values are
+    pinned bit for bit."""
+    assert analytic.thermal_negativity_transverse_ising(1.0, 0.1, 1e-6) == 0.0
+    assert analytic.thermal_negativity_transverse_ising(1.0, 0.1, 1e3) == 0.49029033536211614
+    assert analytic.thermal_negativity_transverse_ising(1.3, 0.4, 2.5) == 0.13488526915635168
+    assert analytic.thermal_negativity_root(1.0, 0.1) == 2.1935039621339163
+
+
 def test_ground_state_formula():
     for b in (0.05, 0.1, 1.0, 3.0):
         h = build_hamiltonian(HamiltonianSpec("ising_transverse", g=1.0, b=b), 2)

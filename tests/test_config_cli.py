@@ -78,6 +78,52 @@ def test_sweep_validation():
         gas_cfg_dict(sweep=[{"param": "reset.r", "min": 1, "max": 100, "points": 3, "scale": "log"}])
     )
     assert np.allclose(cfg.sweep[0].values(), [1, 10, 100])
+    # paths and log bounds are resolved at parse time, not at the first grid point
+    with pytest.raises(ConfigError, match="not present"):
+        parse_config(gas_cfg_dict(sweep=[{"param": "reset.rate", "min": 0, "max": 1, "points": 2}]))
+    for lo, hi in ((0, 100), (1, -1)):
+        with pytest.raises(ConfigError, match="positive bounds"):
+            parse_config(
+                gas_cfg_dict(sweep=[{"param": "reset.r", "min": lo, "max": hi, "points": 3, "scale": "log"}])
+            )
+
+
+MALFORMED = {
+    "n_qubits": gas_cfg_dict(n_qubits="two"),
+    "seed": gas_cfg_dict(seed=[7]),
+    "sweep min": gas_cfg_dict(sweep=[{"param": "reset.r", "min": "low", "max": 1, "points": 2}]),
+    "sweep max": gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": None, "points": 2}]),
+    "sweep points": gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": "2x"}]),
+    "sweep axis": gas_cfg_dict(sweep=[5]),
+    "section": gas_cfg_dict(noise=[["B", 0.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_values_are_config_errors(tmp_path, capsys, case):
+    with pytest.raises(ConfigError):
+        parse_config(MALFORMED[case])
+    path = write_cfg(tmp_path, MALFORMED[case])
+    assert main(["steady", "--config", path, "--out", str(tmp_path / "m.csv")]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sections_the_model_never_reads_rejected():
+    with pytest.raises(ConfigError, match="spingas"):
+        parse_config(gas_cfg_dict(spingas={"steps": 10}))
+    thermal = gas_cfg_dict(
+        model="strongly_coupled",
+        hamiltonian={"kind": "ising_transverse", "g": 1.0, "b": 0.3},
+        noise={"gamma": 1.0, "beta": 1.0},
+    )
+    parse_config(thermal)
+    with pytest.raises(ConfigError, match="spingas"):
+        parse_config({**thermal, "spingas": {}})
+    lattice = {"model": "spingas", "spingas": {"lattice": [4, 4], "steps": 10}}
+    parse_config(lattice)
+    for section in ("hamiltonian", "noise", "reset", "initial_state", "measures"):
+        with pytest.raises(ConfigError, match=section):
+            parse_config({**lattice, section: {}})
 
 
 def test_with_overrides_unknown_param():

@@ -240,6 +240,76 @@ def test_thermal_quasi_degenerate_grouping():
     assert np.max(np.abs(ss.matrix - gibbs_state(h, 0.2))) < 1e-8
 
 
+def eigenbasis_thermal(h, gamma, beta, tol=1e-8):
+    """Reference thermal generator: rates between grouped levels written into
+    a D^2 x D^2 eigenbasis matrix, then changed to the computational basis
+    with kron products."""
+    n = qop.n_qubits_of(h.shape[0])
+    d = h.shape[0]
+    evals, vecs = np.linalg.eigh(h)
+    scale = max(np.max(np.abs(evals)), 1e-300)
+    group = np.zeros(d, dtype=int)
+    for k in range(1, d):
+        group[k] = group[k - 1] + (1 if evals[k] - evals[k - 1] >= tol * scale else 0)
+    level = np.array([evals[group == gid].mean() for gid in range(group[-1] + 1)])
+    melem = np.zeros((d, d))
+    for j in range(n):
+        melem += np.abs(vecs.conj().T @ local_pauli(n, j, "-") @ vecs) ** 2
+    rate = np.zeros((d, d))
+    with np.errstate(over="ignore"):
+        for a in range(d):
+            for b in range(d):
+                if group[a] == group[b]:
+                    continue
+                de = level[group[a]] - level[group[b]]
+                if de > 0:  # emission, N + 1
+                    nbar = 1.0 / np.expm1(beta * de)
+                    rate[a, b] = 2 * gamma * (nbar + 1.0) * melem[b, a]
+                else:  # absorption, N
+                    nbar = 1.0 / np.expm1(beta * (-de))
+                    rate[a, b] = 2 * gamma * nbar * melem[a, b]
+    out_rate = rate.sum(axis=1)
+    lam_eig = np.diag(qop.vec(-0.5 * (out_rate[:, None] + out_rate[None, :]))).astype(complex)
+    for a in range(d):
+        for b in range(d):
+            lam_eig[b * d + b, a * d + a] += rate[a, b]
+    return np.kron(vecs.conj(), vecs) @ lam_eig @ np.kron(vecs.T, vecs.conj().T)
+
+
+@pytest.mark.parametrize(
+    "kind, g, b, n, beta",
+    [
+        ("ising_transverse", 1.0, 0.3, 2, 1.0),
+        ("ising_transverse", 1.0, 0.3, 2, 1000.0),
+        ("ising_transverse", 1.0, 0.3, 3, 1.0),
+        ("ising_transverse", 1.0, 0.3, 3, 1000.0),
+        ("ising_gradient", 15.0, 0.1, 2, 0.2),
+        ("ising_gradient", 15.0, 0.1, 3, 0.2),
+        ("ising_gradient", 15.0, 0.1, 4, 0.2),
+    ],
+)
+def test_thermal_generator_equals_eigenbasis_kron_formula(kind, g, b, n, beta):
+    h = build_hamiltonian(HamiltonianSpec(kind, g=g, b=b), n)
+    params = ThermalBathParams(gamma=0.7, beta=beta)
+    got = thermal_generator(h, params, merge_degenerate=n > 2).matrix
+    want = eigenbasis_thermal(h, 0.7, beta)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_five_qubit_thermal_generator_peak_memory():
+    """The thermal generator holds its result, not a second D^2 x D^2 basis."""
+    import tracemalloc
+
+    h = build_hamiltonian(HamiltonianSpec("ising_gradient", g=15.0, b=0.1), 5)
+    tracemalloc.start()
+    try:
+        gen = thermal_generator(h, ThermalBathParams(gamma=1.0, beta=0.2), merge_degenerate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * gen.matrix.nbytes
+
+
 # --- assembly --------------------------------------------------------------------
 
 
