@@ -5,7 +5,10 @@ misspelled physics parameter cannot silently fall back to a default; so
 are sections the model never reads (``spingas`` in a gas or
 strongly_coupled config, the other sections in a spingas config).  All
 rates are numbers in units of the declared unit rate (``unit``, e.g. "B"
-or "gamma"); the unit name is metadata echoed into output headers.
+or "gamma"); the unit name is metadata echoed into output headers.  Counts
+(``n_qubits``, ``seed``, sweep ``points``, the spingas lattice, ``n_env``
+and ``steps``, measures ``n_min`` and ``n_max``) must be integral numbers;
+a fraction or a boolean is an error, never truncated.
 
 Top-level schema::
 
@@ -51,6 +54,7 @@ time rows per point::
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -102,6 +106,15 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _integer(value, where: str) -> int:
+    """``value`` as an int when it is an integral number (2 or 2.0); a
+    boolean, a fraction or a non-number is refused rather than truncated."""
+    integral = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not integral:
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -225,13 +238,15 @@ def parse_config(data) -> ExperimentConfig:
                 param=raw["param"],
                 lo=float(raw["min"]),
                 hi=float(raw["max"]),
-                points=int(raw["points"]),
+                points=_integer(raw["points"], "sweep axis points"),
                 scale=raw.get("scale", "linear"),
             )
         except KeyError as exc:
             raise ConfigError(f"sweep axis missing key {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep axis min, max and points must be numbers: {exc}") from None
+            raise ConfigError(f"sweep axis min and max must be numbers: {exc}") from None
+        if not isinstance(axis.param, str):
+            raise ConfigError(f"sweep axis param must be a dotted path, got {axis.param!r}")
         if axis.points < 1:
             raise ConfigError("sweep axis needs points >= 1")
         if axis.scale not in ("linear", "log"):
@@ -241,10 +256,11 @@ def parse_config(data) -> ExperimentConfig:
     if len(axes) > 2:
         raise ConfigError("at most two sweep axes are supported")
 
-    try:
-        n_qubits, seed = int(data.get("n_qubits", 2)), int(data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"n_qubits and seed must be integers: {exc}") from None
+    n_qubits = _integer(data.get("n_qubits", 2), "n_qubits")
+    seed = _integer(data.get("seed", 0), "seed")
+    for key in ("n_min", "n_max"):
+        if key in meas:
+            _integer(meas[key], f"measures.{key}")
     if model != "spingas" and not 1 <= n_qubits <= 6:
         raise ConfigError("n_qubits must be between 1 and 6")
 
@@ -370,7 +386,7 @@ def build_liouvillian(
         return assemble(h, gens, n=n)
     except ConfigError:
         raise
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -407,17 +423,17 @@ def gas_config(cfg: ExperimentConfig) -> GasConfig:
     if not s:
         raise ConfigError("spingas model requires a spingas section")
     try:
-        lattice = tuple(int(x) for x in s.get("lattice", (6, 6)))
+        lattice = tuple(_integer(x, "spingas.lattice") for x in s.get("lattice", (6, 6)))
         if len(lattice) != 2:
             raise ConfigError("lattice must be [rows, cols]")
         return GasConfig(
             lattice=lattice,  # type: ignore[arg-type]
-            n_env=int(s.get("n_env", 8)),
+            n_env=_integer(s.get("n_env", 8), "spingas.n_env"),
             psi=float(s.get("psi", 0.1)),
             phi=float(s.get("phi", 0.001)),
             exchange_prob=float(s.get("exchange_prob", 0.0)),
-            steps=int(s.get("steps", 500)),
+            steps=_integer(s.get("steps", 500), "spingas.steps"),
             seed=cfg.seed,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -1,9 +1,16 @@
 """Time evolution, steady states and spectra of Liouvillian matrices.
 
-Steady states at every D^2 come from shifted inverse iteration on L - tol*I
-with a two-vector block whose second Rayleigh quotient tests the null space
-for degeneracy; tol defaults to 1e-10 times the inf-norm of L.  scipy is
-imported where it is used, so importing the package does not load it.
+Every generator of the package preserves Hermiticity, so :func:`evolve` and
+:func:`steady_state` work in real coordinates: a Hermitian rho is the real
+vector x = vec(Re rho - Im rho), an isometry onto R^(D^2), and L acts on it
+as the real matrix R = Re L - Im(L) P, where P is the vec-transpose
+permutation.  Propagators are float64 ``expm`` of R.  Steady states at
+every D^2 come from shifted inverse iteration on R - tol*I with a
+two-vector block whose second Rayleigh quotient tests the null space for
+degeneracy; tol defaults to 1e-10 times the inf-norm of the complex L.  A
+generator that does not preserve Hermiticity is refused by both, since R
+would not represent it.  scipy is imported where it is used, so importing
+the package does not load it.
 """
 
 from __future__ import annotations
@@ -64,9 +71,12 @@ class SpectrumReport:
 def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResult:
     """Propagate rho0 through the grid with cached matrix exponentials.
 
-    Each step applies expm(L dt) exactly (to solver precision), so the
-    local error per step is far below the 1e-10 contract; the reported
-    error estimate is a Richardson comparison of the largest step.
+    Each step applies expm(R dt) in real coordinates exactly (to solver
+    precision), so the local error per step is far below the 1e-10
+    contract; the reported error estimate is a Richardson comparison of the
+    largest step.  A generator that maps a fixed Hermitian probe to a
+    non-Hermitian matrix raises ``ValueError``.  Each call logs D^2, the
+    number of distinct steps and the error estimate at DEBUG.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -75,10 +85,17 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         raise ValueError("times must be non-decreasing and non-negative")
     if rho0.dim != lam.dim:
         raise ValueError("dimension mismatch between state and generator")
-    if not np.all(np.isfinite(lam.matrix)):
+    norm = _inf_norm(lam.matrix)
+    if not np.isfinite(norm):
         raise ValueError("generator has non-finite entries")
+    probe = _hermitian_probe(lam.dim)
+    image = lam.apply(probe)
+    skew = float(np.max(np.abs(image - image.conj().T)))
+    if skew > 1e-10 * norm * np.max(np.abs(probe)):
+        raise ValueError(f"generator does not preserve Hermiticity (deviation {skew:.3e})")
     import scipy.linalg
 
+    gen = _real_generator(lam.matrix)
     propagators: dict[float, np.ndarray] = {}
 
     def propagator(dt: float) -> np.ndarray:
@@ -86,27 +103,25 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         for key in propagators:
             if abs(key - dt) <= 1e-12 * max(key, dt):
                 return propagators[key]
-        propagators[dt] = scipy.linalg.expm(lam.matrix * dt)
+        propagators[dt] = scipy.linalg.expm(gen * dt)
         return propagators[dt]
 
     states = []
-    v = qop.vec(np.asarray(rho0.matrix))
+    x = _to_real(rho0.matrix)
     prev_t = 0.0
     for t in times:
         dt = t - prev_t
         if dt > 0:
-            v = propagator(dt) @ v
+            x = propagator(dt) @ x
         prev_t = t
-        mat = qop.unvec(v)
-        mat = (mat + mat.conj().T) / 2.0
-        states.append(qop.validate_density(mat, tol=STATE_TOL))
+        states.append(qop.validate_density(_from_real(x), tol=STATE_TOL))
 
     err = 0.0
-    dts = [dt for dt in propagators if dt > 0]
-    if dts:
-        dt_max = max(dts)
-        half = scipy.linalg.expm(lam.matrix * (dt_max / 2.0))
-        err = float(np.max(np.abs(half @ half - propagator(dt_max))))
+    if propagators:
+        dt_max = max(propagators)
+        half = scipy.linalg.expm(gen * (dt_max / 2.0))
+        err = float(np.max(np.abs(half @ half - propagators[dt_max])))
+    _log.debug("evolve: D^2=%d steps=%d error_estimate=%.3e", gen.shape[0], len(propagators), err)
     return EvolutionResult(
         times=times,
         states=tuple(states),
@@ -117,24 +132,26 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
 def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.DensityMatrix:
     """Unique null vector of the Liouvillian as a density matrix.
 
-    One path at every D^2: shifted inverse iteration with ``null_tol``,
-    by default 1e-10 times the inf-norm of L (a spectral-radius bound).
-    A zero generator, no eigenvalue or two within tolerance of zero raise
-    :class:`SteadyStateError`.  Hermitization and trace normalization are
-    applied after the solve; a positivity failure beyond 1e-9 is reported
-    as an error rather than clipped, since it would mask an assembly bug.
-    Each solve logs D^2, tol, residual ||L rho|| and null gap at DEBUG.
+    One path at every D^2: shifted inverse iteration in real coordinates
+    with ``null_tol``, by default 1e-10 times the inf-norm of the complex L
+    (a spectral-radius bound).  A zero generator, no eigenvalue or two
+    within tolerance of zero raise :class:`SteadyStateError`.  The state is
+    Hermitian by construction and trace-normalized after the solve; its
+    residual ||L rho|| is taken on the complex L, so a generator that does
+    not preserve Hermiticity fails it rather than returning a wrong state.
+    A positivity failure beyond 1e-9 is reported as an error rather than
+    clipped, since it would mask an assembly bug.  Each solve logs D^2,
+    tol, residual and null gap at DEBUG.
     """
     d2 = lam.matrix.shape[0]
-    norm = float(np.max(np.abs(lam.matrix).sum(axis=1)))
+    norm = _inf_norm(lam.matrix)
     if not np.isfinite(norm):
         raise SteadyStateError("generator has non-finite entries")
     if norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
     tol = null_tol if null_tol is not None else 1e-10 * norm
-    v, gap = _inverse_iteration(lam.matrix, tol)
-    rho = qop.unvec(v)
-    rho = (rho + rho.conj().T) / 2.0
+    x, gap = _inverse_iteration(_real_generator(lam.matrix), tol)
+    rho = _from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
@@ -149,26 +166,61 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
         raise SteadyStateError(f"steady state failed validation: {exc}") from exc
 
 
+def _inf_norm(mat: np.ndarray) -> float:
+    """Largest absolute row sum; non-finite when ``mat`` has a non-finite entry."""
+    return float(np.max(np.abs(mat).sum(axis=1)))
+
+
+def _to_real(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates x = vec(Re rho - Im rho) of a Hermitian matrix;
+    ||x|| equals the Frobenius norm of rho."""
+    return qop.vec(rho.real - rho.imag)
+
+
+def _from_real(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_to_real`, Hermitian by construction."""
+    m = qop.unvec(x)
+    return (m + m.T) / 2.0 + 1j * ((m.T - m) / 2.0)
+
+
+def _real_generator(mat: np.ndarray) -> np.ndarray:
+    """Real matrix R = Re L - Im(L) P acting on :func:`_to_real` coordinates,
+    where P is the vec-transpose permutation: in the [col, row, col', row']
+    view of L, Im L with its last two axes swapped.  R represents L only
+    when L preserves Hermiticity."""
+    d = int(round(np.sqrt(mat.shape[0])))
+    gen = np.array(mat.real)
+    gen.reshape(d, d, d, d)[...] -= mat.imag.reshape(d, d, d, d).transpose(0, 1, 3, 2)
+    return gen
+
+
+def _hermitian_probe(d: int) -> np.ndarray:
+    """Fixed seed-0 random Hermitian d x d matrix."""
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a + a.conj().T
+
+
 @functools.lru_cache(maxsize=8)
 def _start_block(d2: int) -> np.ndarray:
-    """Read-only (D^2, 2) start block: vec(I)/sqrt(D^2) and a seed-0 random
-    vector.  Cached: drawing it is a large share of a D^2 = 16 solve."""
+    """Read-only real (D^2, 2) start block: vec(I)/sqrt(D^2) and a seed-0
+    random vector.  Cached: drawing it is a large share of a D^2 = 16 solve."""
     rng = np.random.default_rng(0)
-    block = np.empty((d2, 2), dtype=complex)
+    block = np.empty((d2, 2))
     block[:, 0] = qop.vec(np.eye(int(round(np.sqrt(d2))))) / np.sqrt(d2)
-    block[:, 1] = rng.standard_normal(d2) + 1j * rng.standard_normal(d2)
+    block[:, 1] = rng.standard_normal(d2)
     block.setflags(write=False)
     return block
 
 
 def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
-    """Shifted inverse iteration targeting 0 from :func:`_start_block`;
-    returns the null vector and the null gap |theta_2|, whose falling
-    within ``tol`` marks a degenerate null space."""
+    """Shifted inverse iteration on the real ``mat`` targeting 0 from
+    :func:`_start_block`; returns the null vector and the null gap
+    |theta_2|, whose falling within ``tol`` marks a degenerate null space."""
     import scipy.linalg
 
     d2 = mat.shape[0]
-    shifted = np.array(mat, dtype=complex)
+    shifted = np.array(mat)
     shifted[np.diag_indices(d2)] -= tol
     # lu_factor/lu_solve's LAPACK calls minus their wrapper cost, which dominates
     # at D^2 = 16; an exactly zero pivot shows up as the non-finite check below
@@ -176,12 +228,15 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
     lu, piv, _ = getrf(shifted, overwrite_a=True)
     block = _start_block(d2)
     for _ in range(3):
-        block, _ = getrs(lu, piv, block)
+        # one right-hand side per call: with two BLAS threads a two-column
+        # getrs at D^2 = 16 can take milliseconds, two one-column calls microseconds
+        block = np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
         if not np.all(np.isfinite(block)):
             raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
         block, _ = np.linalg.qr(block)
-    # Rayleigh quotients on the iterated subspace
-    small = block.conj().T @ (mat @ block)
+    # Rayleigh quotients on the iterated subspace; a complex pair has equal
+    # moduli, so it is refused below before its eigenvector is used
+    small = block.T @ (mat @ block)
     theta, y = np.linalg.eig(small)
     order = np.argsort(np.abs(theta))
     gap = float(abs(theta[order[1]]))

@@ -96,7 +96,24 @@ MALFORMED = {
     "sweep points": gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": "2x"}]),
     "sweep axis": gas_cfg_dict(sweep=[5]),
     "section": gas_cfg_dict(noise=[["B", 0.0]]),
+    # values int() or float() would truncate, coerce or reject with a non-config error
+    "hamiltonian list": gas_cfg_dict(hamiltonian={"kind": "ising", "g": [5.0]}),
+    "sweep param": gas_cfg_dict(sweep=[{"param": 5, "min": 0, "max": 1, "points": 2}]),
+    "n_qubits fraction": gas_cfg_dict(n_qubits=2.7),
+    "n_qubits bool": gas_cfg_dict(n_qubits=True),
+    "sweep points fraction": gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": 2.9}]),
+    "sweep points bool": gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": True}]),
+    "seed fraction": gas_cfg_dict(seed=7.5),
+    "measures n_max fraction": gas_cfg_dict(measures={"lam": 2.0, "n_min": 0, "n_max": 4.5}),
+    "spingas steps fraction": {"model": "spingas", "spingas": {"steps": 10.5}},
+    "spingas lattice list": {"model": "spingas", "spingas": {"lattice": [[6], 6]}},
 }
+
+
+def test_integral_counts_accept_integral_floats():
+    cfg = parse_config(gas_cfg_dict(n_qubits=3.0, sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": 4.0}]))
+    assert (cfg.n_qubits, cfg.sweep[0].points) == (3, 4)
+    assert type(cfg.n_qubits) is int and type(cfg.sweep[0].points) is int
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -1,11 +1,16 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from resetlb import analytic
+from resetlb import analytic, liouville
 from resetlb.dynamics import (
     SteadyStateError,
+    _from_real,
+    _real_generator,
+    _to_real,
     entangled_reset_window,
     entangling_profile,
     evolve,
@@ -25,9 +30,10 @@ from resetlb.liouville import (
     dephasing_generator,
     local_noise_generator,
     reset_generator,
+    state_from_bloch,
     thermal_generator,
 )
-from resetlb.qop import ket, projector, random_density, validate_density
+from resetlb.qop import ket, local_pauli, projector, random_density, unvec, validate_density, vec
 
 
 def dephasing_ising_reset(g, gamma, om, r):
@@ -69,6 +75,18 @@ def test_evolve_nonuniform_grid_consistent(rng):
     for t, state in zip(grid, res.states):
         direct = evolve(lam, rho0, [float(t)]).states[-1]
         assert np.max(np.abs(state.matrix - direct.matrix)) < 1e-11
+
+
+def test_evolve_logs_steps_and_error_estimate(caplog, rng):
+    lam = dephasing_ising_reset(2.0, 1.0, 1.5, 3.0)
+    with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
+        res = evolve(lam, validate_density(random_density(2, rng)), [0.0, 0.3, 0.3, 1.0, 1.7])
+    (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
+    assert record.levelno == logging.DEBUG
+    d2, steps, err = record.args
+    assert (d2, steps) == (16, 2)  # 0.3 and 0.7 (twice, up to grid jitter)
+    assert err == res.error_estimate
+    assert "error_estimate" in record.getMessage()
 
 
 def test_evolve_trace_stays_one(rng):
@@ -253,6 +271,155 @@ def test_evolution_converges_to_steady_state(rng):
     rho0 = validate_density(random_density(2, rng))
     res = evolve(lam, rho0, [0.0, t_conv])
     assert np.max(np.abs(res.states[-1].matrix - ss.matrix)) < 1e-6
+
+
+# --- real Hermitian coordinates ----------------------------------------------------
+
+
+def random_hermitian(d, rng):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return a + a.conj().T
+
+
+def generator_family(name, n, rng):
+    """Every generator kind of the package, with complex entries wherever
+    the physics allows them (random H, y-polarized reset states)."""
+    if name == "gas":
+        h = build_hamiltonian(HamiltonianSpec("ising", g=1.3, omega=0.7), n)
+        gens = [
+            local_noise_generator(n, GasNoiseParams(1.0, 0.8, 0.3)),
+            reset_generator(n, ResetSpec.pure(2.0, n, "+")),
+        ]
+    elif name == "xyz":
+        h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.4), n)
+        gens = [
+            local_noise_generator(n, GasNoiseParams(0.6, 0.5, 0.7)),
+            reset_generator(n, ResetSpec.pure(1.5, n, "1")),
+        ]
+    elif name == "thermal":
+        h = random_hermitian(2**n, rng)
+        gens = [thermal_generator(h, ThermalBathParams(1.0, 0.8))]
+    elif name == "thermal_merged":
+        h = build_hamiltonian(HamiltonianSpec("ising_gradient", g=1.0, b=0.3), n)
+        gens = [
+            thermal_generator(h, ThermalBathParams(1.0, 2.0), merge_degenerate=True),
+            reset_generator(n, ResetSpec.pure(0.5, n, "+")),
+        ]
+    else:  # mixed reset states, one per qubit
+        h = build_hamiltonian(HamiltonianSpec("ising", g=0.9, omega=0.5), n)
+        states = tuple(state_from_bloch(0.3 * np.cos(k), 0.3 * np.sin(k + 1), 0.1) for k in range(n))
+        gens = [dephasing_generator(n, 0.5), reset_generator(n, ResetSpec(1.2, states))]
+    return assemble(h, gens, n=n)
+
+
+FAMILIES = ("gas", "xyz", "thermal", "thermal_merged", "mixed_reset")
+PAIRWISE = ("xyz", "thermal_merged")  # their Hamiltonians need two qubits
+
+
+@pytest.mark.parametrize(
+    "family,n", [(f, n) for f in FAMILIES for n in range(1, 5) if n > 1 or f not in PAIRWISE]
+)
+def test_real_coordinates_represent_the_generator(family, n, rng):
+    lam = generator_family(family, n, rng)
+    rho = random_hermitian(2**n, rng)
+    x = _to_real(rho)
+    assert x.dtype == float
+    assert abs(np.linalg.norm(x) - np.linalg.norm(rho)) <= 1e-14 * np.linalg.norm(rho)
+    assert np.max(np.abs(_from_real(x) - rho)) <= 1e-15 * np.max(np.abs(rho))
+    image = _from_real(_real_generator(lam.matrix) @ x)
+    assert np.max(np.abs(image - lam.apply(rho))) <= 1e-12 * np.max(np.abs(lam.matrix))
+
+
+def complex_evolve(lam, rho0, times):
+    """Reference: evolve in complex vec coordinates, as before real
+    coordinates (cached propagators, hermitized states, Richardson check)."""
+    propagators = {}
+
+    def propagator(dt):
+        for key in propagators:
+            if abs(key - dt) <= 1e-12 * max(key, dt):
+                return propagators[key]
+        propagators[dt] = scipy.linalg.expm(lam.matrix * dt)
+        return propagators[dt]
+
+    v, prev, states = vec(np.asarray(rho0.matrix)), 0.0, []
+    for t in times:
+        if t > prev:
+            v = propagator(t - prev) @ v
+        prev = t
+        mat = unvec(v)
+        states.append((mat + mat.conj().T) / 2.0)
+    dt_max = max(propagators)
+    half = scipy.linalg.expm(lam.matrix * (dt_max / 2.0))
+    return states, float(np.max(np.abs(half @ half - propagators[dt_max])))
+
+
+def complex_steady_state(lam):
+    """Reference: inverse iteration in complex vec coordinates, as before
+    real coordinates (same shift, complex random start vector)."""
+    mat = lam.matrix
+    d2 = mat.shape[0]
+    tol = 1e-10 * np.max(np.abs(mat).sum(axis=1))
+    rng = np.random.default_rng(0)
+    block = np.stack([vec(np.eye(lam.dim)) / np.sqrt(d2), rng.standard_normal(d2) + 1j * rng.standard_normal(d2)], 1)
+    lu = scipy.linalg.lu_factor(mat - tol * np.eye(d2))
+    for _ in range(3):
+        block, _ = np.linalg.qr(scipy.linalg.lu_solve(lu, block))
+    theta, y = np.linalg.eig(block.conj().T @ (mat @ block))
+    rho = unvec(block @ y[:, np.argmin(np.abs(theta))])
+    rho = (rho + rho.conj().T) / 2.0
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_steady_state_matches_complex_path(n, rng):
+    for family in FAMILIES:
+        lam = generator_family(family, n, rng)
+        assert np.max(np.abs(steady_state(lam).matrix - complex_steady_state(lam))) < 1e-12, family
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_evolve_matches_complex_path(n, rng):
+    lam = generator_family("thermal", n, rng)
+    rho0 = validate_density(random_density(n, rng))
+    times = np.linspace(0.0, 1.0, 6)
+    want, _ = complex_evolve(lam, rho0, times)
+    got = evolve(lam, rho0, times).states
+    assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got, want)) < 1e-12
+
+
+def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
+    lam = generator_family("mixed_reset", 5, rng)
+    rho0 = validate_density(projector(ket("+" * 5)))
+    times = [0.0, 0.25, 0.5]
+    evolve(lam, rho0, [0.0])  # the first call imports scipy.linalg
+
+    def traced(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (want, _), complex_peak = traced(lambda: complex_evolve(lam, rho0, times))
+    got, real_peak = traced(lambda: evolve(lam, rho0, times))
+    assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got.states, want)) < 1e-12
+    assert real_peak <= 0.75 * complex_peak
+
+
+def test_non_hermiticity_preserving_generator_is_refused():
+    """-i[H, .] with a non-Hermitian H is trace preserving but maps Hermitian
+    matrices to non-Hermitian ones; the real coordinates cannot represent
+    it, so neither solver may return a state for it."""
+    n = 2
+    h = local_pauli(n, 0, "+") @ local_pauli(n, 1, "+") + local_pauli(n, 0, "x")
+    mat = np.array(reset_generator(n, ResetSpec.pure(1.0, n, "+")).matrix)
+    liouville._add_sides(mat, -1j * h, 1j * h)
+    lam = Superoperator(mat, n)
+    with pytest.raises(SteadyStateError, match="residual"):
+        steady_state(lam)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        evolve(lam, validate_density(np.eye(4) / 4), [0.0, 1.0])
 
 
 # --- spectrum ---------------------------------------------------------------------
