@@ -8,7 +8,9 @@ rates are numbers in units of the declared unit rate (``unit``, e.g. "B"
 or "gamma"); the unit name is metadata echoed into output headers.  Counts
 (``n_qubits``, ``seed``, sweep ``points``, the spingas lattice, ``n_env``
 and ``steps``, measures ``n_min`` and ``n_max``) must be integral numbers;
-a fraction or a boolean is an error, never truncated.
+a fraction or a boolean is an error, never truncated.  ``n_qubits`` and
+measures ``n_max`` stop at ``MAX_DENSE_QUBITS``, and an ``initial_state``
+must be a density matrix on ``n_qubits`` qubits.
 
 Top-level schema::
 
@@ -79,6 +81,8 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+MAX_DENSE_QUBITS = 6  # one D^2 x D^2 complex Liouvillian is 268 MB at n = 6
+
 _MODELS = ("gas", "strongly_coupled", "spingas")
 _LINDBLAD_SECTIONS = {"hamiltonian", "noise", "reset", "initial_state", "measures"}
 _COMMON_KEYS = {"model", "unit", "n_qubits", "sweep", "output", "seed"}
@@ -115,6 +119,16 @@ def _integer(value, where: str) -> int:
     if isinstance(value, bool) or not integral:
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
+
+
+def _finite(value, where: str) -> float:
+    """``value`` as a float when it converts to a finite one."""
+    try:
+        if np.isfinite(number := float(value)):
+            return number
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -258,11 +272,14 @@ def parse_config(data) -> ExperimentConfig:
 
     n_qubits = _integer(data.get("n_qubits", 2), "n_qubits")
     seed = _integer(data.get("seed", 0), "seed")
-    for key in ("n_min", "n_max"):
-        if key in meas:
-            _integer(meas[key], f"measures.{key}")
-    if model != "spingas" and not 1 <= n_qubits <= 6:
-        raise ConfigError("n_qubits must be between 1 and 6")
+    if model != "spingas" and not 1 <= n_qubits <= MAX_DENSE_QUBITS:
+        raise ConfigError(f"n_qubits must be between 1 and {MAX_DENSE_QUBITS}")
+    if meas:  # what PoissonWeighting and the dense solver can take
+        lam = _finite(meas.get("lam", 2.0), "measures.lam")
+        n_min = _integer(meas.get("n_min", 0), "measures.n_min")
+        n_max = _integer(meas.get("n_max", 5), "measures.n_max")
+        if lam <= 0 or not 0 <= n_min <= n_max or not 2 <= n_max <= MAX_DENSE_QUBITS:
+            raise ConfigError(f"measures needs lam > 0, 0 <= n_min <= n_max, 2 <= n_max <= {MAX_DENSE_QUBITS}")
 
     cfg = ExperimentConfig(
         model=model,
@@ -283,6 +300,8 @@ def parse_config(data) -> ExperimentConfig:
         cfg.with_overrides({axis.param: axis.lo})
     if model in ("gas", "strongly_coupled"):
         build_liouvillian(cfg)
+        if init:
+            initial_state_from_config(cfg)
     else:
         gas_config(cfg)
     return cfg
@@ -401,16 +420,18 @@ def initial_state_from_config(cfg: ExperimentConfig) -> qop.DensityMatrix:
     if kind == "weighted_graph":
         if n != 2:
             raise ConfigError("weighted_graph initial state is defined for n_qubits = 2")
-        phi = float(init.get("phi", 0.0))
+        phi = _finite(init.get("phi", 0.0), "initial_state.phi")
         u = np.diag([1.0, 1.0, 1.0, np.exp(1j * phi)])
         vec = u @ qop.ket("++")
         return qop.validate_density(qop.projector(vec))
     if kind == "matrix":
-        re = np.array(init.get("re"), dtype=float)
-        im = np.array(init.get("im", np.zeros_like(re)), dtype=float)
         try:
+            re = np.array(init.get("re"), dtype=float)
+            im = np.array(init.get("im", np.zeros_like(re)), dtype=float)
+            if re.shape != (2**n, 2**n):
+                raise ValueError(f"need {2**n} x {2**n} for n_qubits = {n}, got {re.shape}")
             return qop.validate_density(re + 1j * im)
-        except qop.DensityMatrixError as exc:
+        except (TypeError, ValueError) as exc:  # DensityMatrixError included
             raise ConfigError(f"initial_state.matrix is not a density matrix: {exc}") from exc
     raise ConfigError(f"unknown initial state type {kind!r}")
 

@@ -7,10 +7,10 @@ as the real matrix R = Re L - Im(L) P, where P is the vec-transpose
 permutation.  Propagators are float64 ``expm`` of R.  Steady states at
 every D^2 come from shifted inverse iteration on R - tol*I with a
 two-vector block whose second Rayleigh quotient tests the null space for
-degeneracy; tol defaults to 1e-10 times the inf-norm of the complex L.  A
-generator that does not preserve Hermiticity is refused by both, since R
-would not represent it.  scipy is imported where it is used, so importing
-the package does not load it.
+degeneracy; tol defaults to 1e-10 times ``lam.norm``.  R represents L
+because every :class:`Superoperator` preserves Hermiticity, which is
+checked when it is built and not again here.  scipy is imported where it
+is used, so importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -74,9 +74,8 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
     Each step applies expm(R dt) in real coordinates exactly (to solver
     precision), so the local error per step is far below the 1e-10
     contract; the reported error estimate is a Richardson comparison of the
-    largest step.  A generator that maps a fixed Hermitian probe to a
-    non-Hermitian matrix raises ``ValueError``.  Each call logs D^2, the
-    number of distinct steps and the error estimate at DEBUG.
+    largest step.  Each call logs D^2, the number of distinct steps and the
+    error estimate at DEBUG.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -85,14 +84,6 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         raise ValueError("times must be non-decreasing and non-negative")
     if rho0.dim != lam.dim:
         raise ValueError("dimension mismatch between state and generator")
-    norm = _inf_norm(lam.matrix)
-    if not np.isfinite(norm):
-        raise ValueError("generator has non-finite entries")
-    probe = _hermitian_probe(lam.dim)
-    image = lam.apply(probe)
-    skew = float(np.max(np.abs(image - image.conj().T)))
-    if skew > 1e-10 * norm * np.max(np.abs(probe)):
-        raise ValueError(f"generator does not preserve Hermiticity (deviation {skew:.3e})")
     import scipy.linalg
 
     gen = _real_generator(lam.matrix)
@@ -133,30 +124,26 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
     """Unique null vector of the Liouvillian as a density matrix.
 
     One path at every D^2: shifted inverse iteration in real coordinates
-    with ``null_tol``, by default 1e-10 times the inf-norm of the complex L
-    (a spectral-radius bound).  A zero generator, no eigenvalue or two
-    within tolerance of zero raise :class:`SteadyStateError`.  The state is
-    Hermitian by construction and trace-normalized after the solve; its
-    residual ||L rho|| is taken on the complex L, so a generator that does
-    not preserve Hermiticity fails it rather than returning a wrong state.
-    A positivity failure beyond 1e-9 is reported as an error rather than
+    with ``null_tol``, by default 1e-10 times ``lam.norm`` (a spectral-radius
+    bound).  A zero generator, no eigenvalue or two within tolerance of zero
+    raise :class:`SteadyStateError`.  The state is Hermitian by construction
+    and trace-normalized after the solve; its residual ||L rho|| is
+    ||R x|| / |tr rho|.  A positivity failure beyond 1e-9 is an error, not
     clipped, since it would mask an assembly bug.  Each solve logs D^2,
     tol, residual and null gap at DEBUG.
     """
     d2 = lam.matrix.shape[0]
-    norm = _inf_norm(lam.matrix)
-    if not np.isfinite(norm):
-        raise SteadyStateError("generator has non-finite entries")
-    if norm == 0.0:
+    if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
-    tol = null_tol if null_tol is not None else 1e-10 * norm
-    x, gap = _inverse_iteration(_real_generator(lam.matrix), tol)
+    tol = null_tol if null_tol is not None else 1e-10 * lam.norm
+    gen = _real_generator(lam.matrix)
+    x, gap = _inverse_iteration(gen, tol)
     rho = _from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
-    residual = float(np.linalg.norm(lam.matrix @ qop.vec(rho)))
+    residual = float(np.linalg.norm(gen @ x)) / abs(tr)
     _log.debug("steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e", d2, tol, residual, gap)
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
@@ -164,11 +151,6 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
         return qop.validate_density(rho, tol=PSD_TOL)
     except qop.DensityMatrixError as exc:
         raise SteadyStateError(f"steady state failed validation: {exc}") from exc
-
-
-def _inf_norm(mat: np.ndarray) -> float:
-    """Largest absolute row sum; non-finite when ``mat`` has a non-finite entry."""
-    return float(np.max(np.abs(mat).sum(axis=1)))
 
 
 def _to_real(rho: np.ndarray) -> np.ndarray:
@@ -186,19 +168,12 @@ def _from_real(x: np.ndarray) -> np.ndarray:
 def _real_generator(mat: np.ndarray) -> np.ndarray:
     """Real matrix R = Re L - Im(L) P acting on :func:`_to_real` coordinates,
     where P is the vec-transpose permutation: in the [col, row, col', row']
-    view of L, Im L with its last two axes swapped.  R represents L only
-    when L preserves Hermiticity."""
+    view of L, Im L with its last two axes swapped.  R represents L because
+    every :class:`Superoperator` preserves Hermiticity."""
     d = int(round(np.sqrt(mat.shape[0])))
     gen = np.array(mat.real)
     gen.reshape(d, d, d, d)[...] -= mat.imag.reshape(d, d, d, d).transpose(0, 1, 3, 2)
     return gen
-
-
-def _hermitian_probe(d: int) -> np.ndarray:
-    """Fixed seed-0 random Hermitian d x d matrix."""
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return a + a.conj().T
 
 
 @functools.lru_cache(maxsize=8)

@@ -3,7 +3,7 @@ over bipartitions and Poisson-weighted particle-number fluctuations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
@@ -73,7 +73,7 @@ class PoissonWeighting:
     lam: float
     n_min: int
     n_max: int
-    weights: tuple[float, ...] = ()
+    weights: tuple[float, ...] = field(init=False)
 
     def __post_init__(self):
         if self.n_min < 0 or self.n_max < self.n_min:

@@ -1,7 +1,8 @@
 """Hamiltonians and Lindblad generators as vectorized superoperators.
 
 Every builder returns a :class:`Superoperator` acting on column-stacked
-density matrices, ``d/dt vec(rho) = L vec(rho)``.  The Hamiltonian part
+density matrices, ``d/dt vec(rho) = L vec(rho)``; building one is the only
+check of the Lindblad contract the solvers rely on.  The Hamiltonian part
 ``-i[H, rho]`` is written by :func:`assemble` straight into the one
 D^2 x D^2 result, so that dissipators can be combined freely.  The
 single-qubit generators (local noise, dephasing, reset) are placed as 4x4
@@ -13,7 +14,7 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,27 +22,49 @@ from resetlb import qop
 from resetlb.qop import left_right_superop, local_pauli, n_qubits_of
 
 TRACE_ROW_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Dense D^2 x D^2 matrix acting on column-stacked density matrices."""
+    """Dense D^2 x D^2 Liouvillian acting on column-stacked density matrices.
+
+    Construction refuses non-finite entries, a skew of row (c, r) from the
+    conjugate of row (r, c) vec-transposed beyond ``HERMITICITY_TOL`` x
+    max|L| (Hermiticity), and trace-row entries beyond ``TRACE_ROW_TOL`` x
+    max(1, max|L|).  ``norm`` is the inf-norm (largest absolute row sum).
+    """
 
     matrix: np.ndarray
     n_qubits: int
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
-        d2 = 4**self.n_qubits
-        if mat.shape != (d2, d2):
+        d = 2**self.n_qubits
+        if mat.shape != (d * d, d * d):
             raise ValueError(f"superoperator shape {mat.shape} does not match n={self.n_qubits}")
-        scale = max(1.0, float(np.max(np.abs(mat))) if mat.size else 1.0)
-        row = qop.vec(np.eye(2**self.n_qubits)) @ mat
-        if np.max(np.abs(row)) > TRACE_ROW_TOL * scale:
+        magnitude = np.abs(mat)
+        norm = float(magnitude.sum(axis=1).max())
+        if not np.isfinite(norm):
+            raise ValueError("superoperator has non-finite entries")
+        peak = float(magnitude.max())
+        # row (c, r) of the [c, r, c', r'] view against row (r, c), conjugated
+        # and vec-transposed, for r >= c0 over blocks of 64 // d values c >= c0:
+        # one pass when d <= 8, about half of L at larger d
+        blocks = mat.reshape(d, d, d, d)
+        step = max(1, 64 // d)
+        for c in range(0, d, step):
+            rows, partners = blocks[c : c + step, c:], blocks[c:, c : c + step]
+            skew = np.max(np.abs(rows - partners.transpose(1, 0, 3, 2).conj()))
+            if skew > HERMITICITY_TOL * peak:
+                raise ValueError(f"superoperator does not preserve Hermiticity (deviation {skew:.3e})")
+        if np.max(np.abs(mat[:: d + 1].sum(axis=0))) > TRACE_ROW_TOL * max(1.0, peak):
             raise ValueError("superoperator is not trace preserving")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:
@@ -50,14 +73,6 @@ class Superoperator:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action on a density matrix, returned as a matrix."""
         return qop.unvec(self.matrix @ qop.vec(rho))
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("dimension mismatch")
-        return Superoperator(self.matrix + other.matrix, self.n_qubits)
-
-    def __rmul__(self, scalar: float) -> "Superoperator":
-        return Superoperator(scalar * self.matrix, self.n_qubits)
 
 
 # --- parameter records -----------------------------------------------------
@@ -296,11 +311,7 @@ def dephasing_generator(n: int, gamma: float) -> Superoperator:
     """gamma * sum_i (sz_i rho sz_i - rho); fixes computational-basis diagonals."""
     if gamma < 0:
         raise ValueError("gamma must be non-negative")
-    block = dissipator(qop.PAULI["z"], gamma)
-    mat = np.zeros((4**n, 4**n), dtype=complex)
-    for i in range(n):
-        _embed_local(mat, n, i, block)
-    return Superoperator(mat, n)
+    return local_noise_generator(n, GasNoiseParams(B=0.0, C=2 * gamma, s=0.5))
 
 
 def reset_generator(n: int, spec: ResetSpec) -> Superoperator:

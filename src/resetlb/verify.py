@@ -511,10 +511,10 @@ def check_ensemble_matches_reference() -> CheckResult:
     return _result("ensemble_matches_reference", "spingas.run_ensemble vs spingas.simulate_run", dev, 1e-12)
 
 
-def run_checks(tol_scale: float = 1.0, formula_shift: float = 0.0, seed: int = 20260808) -> list[CheckResult]:
+def run_checks(formula_shift: float = 0.0, seed: int = 20260808) -> list[CheckResult]:
     """Run the full cross-check suite; deterministic for a given seed."""
     rng = np.random.default_rng(seed)
-    checks = [
+    return [
         check_partial_trace(rng),
         check_trace_norm(rng),
         check_gradient_hamiltonian(),
@@ -539,9 +539,3 @@ def run_checks(tol_scale: float = 1.0, formula_shift: float = 0.0, seed: int = 2
         check_graph_reduction(rng),
         check_ensemble_matches_reference(),
     ]
-    if tol_scale != 1.0:
-        checks = [
-            CheckResult(c.name, c.target, c.max_dev <= c.tol * tol_scale, c.max_dev, c.tol * tol_scale, c.detail)
-            for c in checks
-        ]
-    return checks

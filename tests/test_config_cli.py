@@ -378,8 +378,14 @@ def test_cli_measures_and_guard(tmp_path):
     assert main(["measures", "--config", path, "--out", out, "--no-timestamp"]) == 0
     lines = [l for l in open(out).read().splitlines() if not l.startswith("#")]
     assert lines[0] == "r,measure_i,measure_ii,measure_iii"
+    # the dense limit is the n_qubits one: n_max = 6 parses, 7 is refused at parse time
     cfg["measures"]["n_max"] = 6
+    assert parse_config(cfg).measures["n_max"] == 6
+    cfg["measures"]["n_max"] = 7
+    with pytest.raises(ConfigError, match="n_max"):
+        parse_config(cfg)
     path = write_cfg(tmp_path, cfg, "big.json")
+    assert main(["measures", "--config", path, "--out", out, "--no-timestamp", "--force-large"]) == 1
     assert main(["measures", "--config", path, "--out", out, "--no-timestamp"]) == 1
 
 
@@ -427,6 +433,37 @@ def test_cli_evolve_zero_generator_constant_columns(tmp_path):
     negs = {row[1] for row in rows}
     traces = {row[2] for row in rows}
     assert len(negs) == 1 and len(traces) == 1
+
+
+R_SWEEP = [{"param": "reset.r", "min": 20, "max": 40, "points": 2}]
+EVOLVE_CFG = gas_cfg_dict()
+SPINGAS_CFG = {"model": "spingas", "spingas": {"lattice": [3, 3], "n_env": 2, "steps": 5}}
+CLI_CONFIG_ERRORS = {
+    # values PoissonWeighting, the initial state, the time grid or the ensemble cannot take
+    "measures lam text": ("measures", gas_cfg_dict(measures={"lam": "abc"}, sweep=R_SWEEP), []),
+    "measures lam zero": ("measures", gas_cfg_dict(measures={"lam": 0.0}, sweep=R_SWEEP), []),
+    "measures lam negative": ("measures", gas_cfg_dict(measures={"lam": -2.0}, sweep=R_SWEEP), []),
+    "measures n_min above n_max": ("measures", gas_cfg_dict(measures={"n_min": 4, "n_max": 3}, sweep=R_SWEEP), []),
+    "measures n_max below 2": ("measures", gas_cfg_dict(measures={"n_min": 0, "n_max": 1}, sweep=R_SWEEP), []),
+    "initial phi list": ("evolve", gas_cfg_dict(initial_state={"type": "weighted_graph", "phi": [1.0]}), []),
+    "initial re text": ("evolve", gas_cfg_dict(initial_state={"type": "matrix", "re": "abc"}), []),
+    "initial matrix 2x2": ("evolve", gas_cfg_dict(initial_state={"type": "matrix", "re": [[0.5, 0], [0, 0.5]]}), []),
+    "evolve t-max nan": ("evolve", EVOLVE_CFG, ["--t-max", "nan"]),
+    "evolve t-max inf": ("evolve", EVOLVE_CFG, ["--t-max", "inf"]),
+    "evolve t-max negative": ("evolve", EVOLVE_CFG, ["--t-max", "-1"]),
+    "evolve points zero": ("evolve", EVOLVE_CFG, ["--t-max", "1", "--points", "0"]),
+    "spingas runs zero": ("spingas", SPINGAS_CFG, ["--runs", "0"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CONFIG_ERRORS))
+def test_cli_invalid_values_are_config_errors(tmp_path, capsys, case):
+    command, cfg, extra = CLI_CONFIG_ERRORS[case]
+    if command == "evolve" and not extra:
+        extra = ["--t-max", "1", "--points", "3"]
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "e.csv"), *extra]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
 
 
 def test_cli_exit_code_config_error(tmp_path):

@@ -410,16 +410,13 @@ def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
 def test_non_hermiticity_preserving_generator_is_refused():
     """-i[H, .] with a non-Hermitian H is trace preserving but maps Hermitian
     matrices to non-Hermitian ones; the real coordinates cannot represent
-    it, so neither solver may return a state for it."""
+    it, so it is refused as a Superoperator and no solver ever sees it."""
     n = 2
     h = local_pauli(n, 0, "+") @ local_pauli(n, 1, "+") + local_pauli(n, 0, "x")
     mat = np.array(reset_generator(n, ResetSpec.pure(1.0, n, "+")).matrix)
     liouville._add_sides(mat, -1j * h, 1j * h)
-    lam = Superoperator(mat, n)
-    with pytest.raises(SteadyStateError, match="residual"):
-        steady_state(lam)
     with pytest.raises(ValueError, match="Hermiticity"):
-        evolve(lam, validate_density(np.eye(4) / 4), [0.0, 1.0])
+        Superoperator(mat, n)
 
 
 # --- spectrum ---------------------------------------------------------------------

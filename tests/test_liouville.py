@@ -359,6 +359,7 @@ def test_non_trace_preserving_matrix_rejected():
         Superoperator(np.eye(16, dtype=complex), 2)
 
 
+
 def test_evolution_preserves_positivity(rng):
     """Complete-positivity smoke test over t in [0, 10/max-rate]."""
     h = build_hamiltonian(HamiltonianSpec("ising", g=2.0, omega=1.0), 2)
@@ -477,3 +478,56 @@ def test_five_qubit_assembly_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * lam.matrix.nbytes
+
+
+# --- the Superoperator contract --------------------------------------------------
+
+
+def gas_generator(n):
+    h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n)
+    return assemble(h, [local_noise_generator(n, NOISE), reset_generator(n, ResetSpec.pure(1.9, n, "+"))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
+def test_non_finite_entries_rejected(bad):
+    mat = np.array(gas_generator(2).matrix)
+    mat[5, 9] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator(mat, 2)
+
+
+# [c, r, c', r'] entries: a row with c = r, a row with c != r, and its partner
+# (r, c, r', c'); each must equal the conjugate of its partner
+@pytest.mark.parametrize("entry", [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (3, 2, 0, 3)])
+@pytest.mark.parametrize("n", [2, 3])
+def test_single_entry_hermiticity_skew_rejected(entry, n):
+    lam = gas_generator(n)
+    mat = np.array(lam.matrix)
+    view = mat.reshape((2**n,) * 4)
+    view[entry] += 1e-8 * np.max(np.abs(mat)) * (1 + 1j)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        Superoperator(mat, n)
+    # a skew well inside the tolerance passes
+    mat = np.array(lam.matrix)
+    mat.reshape((2**n,) * 4)[entry] += 1e-13 * np.max(np.abs(mat)) * 1j
+    Superoperator(mat, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_builder_passes_the_contract(n, rng):
+    """Each generator builder constructs at every n up to 5, and ``norm`` is
+    the largest absolute row sum of the matrix."""
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    h = build_hamiltonian(HamiltonianSpec("custom", matrix=a + a.conj().T), n)
+    degenerate = build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=0.5), n)
+    noise = local_noise_generator(n, NOISE)
+    lams = [
+        noise,
+        dephasing_generator(n, 0.61),
+        *(reset_generator(n, ResetSpec.uniform(1.9, n, state)) for state in RESET_STATES),
+        thermal_generator(h, ThermalBathParams(1.0, 0.8)),
+        thermal_generator(degenerate, ThermalBathParams(1.0, 2.0), merge_degenerate=True),
+        assemble(h, [noise, reset_generator(n, ResetSpec.uniform(1.9, n, RESET_STATES[2]))]),
+    ]
+    for lam in lams:
+        assert lam.norm == np.abs(lam.matrix).sum(axis=1).max()
