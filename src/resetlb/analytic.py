@@ -376,9 +376,6 @@ class DephasingIsingResetSolution:
         )
         return _hermitize_fill(rho)
 
-    def density_matrix(self, t: float) -> qop.DensityMatrix:
-        return qop.validate_density(self.coefficients(t), tol=1e-8)
-
 
 class _OffDiagonalAux:
     """Shared building blocks of the off-diagonal and anti-diagonal sectors."""

@@ -18,8 +18,7 @@ Top-level schema::
       "model": "gas" | "strongly_coupled" | "spingas",
       "unit": "gamma",                  # optional, declarative
       "n_qubits": 2,                    # gas / strongly_coupled
-      "hamiltonian": {"kind": ..., "g": ..., "omega": ..., "b": ...,
-                       "cx": ..., "cy": ..., "cz": ..., "cfield": ...},
+      "hamiltonian": {"kind": "ising", "g": ..., "omega": ...},
       "noise": {"B": ..., "C": ..., "s": ...}          # gas
                | {"gamma": ..., "beta": ...},          # strongly_coupled
       "reset": {"r": ..., "state": "plus" | "minus" | "zero" | "one"
@@ -37,8 +36,10 @@ Top-level schema::
       "seed": 1
     }
 
-An ``initial_state`` takes exactly the keys shown for its ``type``, and a
-``bloch`` reset state takes no ``purity`` or ``ket``.
+A ``hamiltonian`` takes ``kind`` and the parameters ``HamiltonianSpec.KINDS``
+lists for it, an ``initial_state`` exactly the keys shown for its ``type``;
+a ``reset`` takes ``state`` or ``states``, not both, and a ``bloch`` reset
+state takes no ``purity`` or ``ket``.
 
 Sweep parameters are dotted paths of any depth into the sections above,
 e.g. ``reset.r``, ``hamiltonian.g``, ``noise.s``, ``spingas.exchange_prob``,
@@ -91,7 +92,6 @@ _TOP_KEYS = {  # per model: a section the model never reads is an unknown key
     "strongly_coupled": _COMMON_KEYS | _LINDBLAD_SECTIONS,
     "spingas": _COMMON_KEYS | {"spingas"},
 }
-_HAM_KEYS = {"kind", "g", "omega", "b", "cx", "cy", "cz", "cfield", "matrix"}
 _GAS_NOISE_KEYS = {"B", "C", "s"}
 _THERMAL_KEYS = {"gamma", "beta"}
 _RESET_KEYS = {"r", "state", "states"}
@@ -224,7 +224,6 @@ def parse_config(data) -> ExperimentConfig:
             raise ConfigError(f"{name} must be a JSON object")
 
     ham = dict(data.get("hamiltonian", {}))
-    _check_keys(ham, _HAM_KEYS, "hamiltonian")
     noise = dict(data.get("noise", {}))
     if model == "gas" and noise:
         _check_keys(noise, _GAS_NOISE_KEYS, "noise (gas model)")
@@ -312,6 +311,8 @@ def reset_spec_from_config(reset: dict, n: int) -> ResetSpec | None:
     if not reset:
         return None
     r = float(reset.get("r", 0.0))
+    if "state" in reset and "states" in reset:
+        raise ConfigError("reset takes state or states, not both")
     if "states" in reset:
         states = [_reset_state(s) for s in reset["states"]]
         if len(states) != n:
@@ -348,23 +349,19 @@ def _reset_state(spec) -> np.ndarray:
 
 
 def hamiltonian_from_config(ham: dict, n: int) -> np.ndarray:
+    """Hamiltonian of the section; keys per kind and defaults come from HamiltonianSpec."""
     if not ham:
         raise ConfigError("hamiltonian section is required for this model")
     kind = ham.get("kind")
-    if kind is None:
-        raise ConfigError("hamiltonian.kind is required")
-    spec = HamiltonianSpec(
-        kind=kind,
-        g=float(ham.get("g", 0.0)),
-        omega=float(ham.get("omega", 0.0)),
-        b=float(ham.get("b", 0.0)),
-        cx=float(ham.get("cx", 0.7)),
-        cy=float(ham.get("cy", 0.3)),
-        cz=float(ham.get("cz", 1.0)),
-        cfield=float(ham.get("cfield", 0.5)),
-        matrix=np.array(ham["matrix"], dtype=complex) if "matrix" in ham else None,
-    )
+    if kind not in HamiltonianSpec.KINDS:
+        raise ConfigError(f"hamiltonian.kind must be one of {sorted(HamiltonianSpec.KINDS)}, got {kind!r}")
+    _check_keys(ham, {"kind", *HamiltonianSpec.KINDS[kind]}, f"hamiltonian ({kind})")
     try:
+        if kind == "custom":
+            spec = HamiltonianSpec(kind, matrix=np.array(ham["matrix"], dtype=complex) if "matrix" in ham else None)
+        else:
+            params = {key: _finite(v, f"hamiltonian.{key}") for key, v in ham.items() if key != "kind"}
+            spec = HamiltonianSpec(kind, **params)
         return build_hamiltonian(spec, n)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -2,7 +2,8 @@
 
 Every builder returns a :class:`Superoperator` acting on column-stacked
 density matrices, ``d/dt vec(rho) = L vec(rho)``; building one is the only
-check of the Lindblad contract the solvers rely on.  The Hamiltonian part
+check of the Lindblad contract the solvers rely on.  Spin Hamiltonians,
+one table row per kind, are written by bit arithmetic on the basis index;
 ``-i[H, rho]`` is written by :func:`assemble` straight into the one
 D^2 x D^2 result, so that dissipators can be combined freely.  The
 single-qubit generators (local noise, dephasing, reset) are placed as 4x4
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from resetlb import qop
-from resetlb.qop import left_right_superop, local_pauli, n_qubits_of
+from resetlb.qop import left_right_superop, n_qubits_of
 
 TRACE_ROW_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -34,6 +35,9 @@ class Superoperator:
     conjugate of row (r, c) vec-transposed beyond ``HERMITICITY_TOL`` x
     max|L| (Hermiticity), and trace-row entries beyond ``TRACE_ROW_TOL`` x
     max(1, max|L|).  ``norm`` is the inf-norm (largest absolute row sum).
+
+    Construction takes ownership of a complex128 ``matrix``: it is stored,
+    not copied, and made read-only; pass a copy to keep writing into it.
     """
 
     matrix: np.ndarray
@@ -174,20 +178,25 @@ class ResetSpec:
         return 2.0 * float(np.linalg.norm(bloch_vector(self.states[i])))
 
 
+# Spin kinds: the parameters each reads and its coefficients (xx, yy, zz, x, z, tilt) in
+#   g (xx sum_{i<j} sx_i sx_j + yy sum_{i<j} sy_i sy_j + zz sum_{i<j} sz_i sz_j + x sum_k sx_k)
+#   + z sum_k sz_k + tilt sum_k (k+1)/n sz_k
+_SPIN_KINDS = {
+    "ising": (("g", "omega"), lambda s: (0, 0, 1, 0, 0.5 * s.omega, 0)),
+    "sxsx": (("g", "omega"), lambda s: (1, 0, 0, 0, 0.5 * s.omega, 0)),
+    "xyz": (("g", "omega", "cx", "cy", "cz", "cfield"), lambda s: (s.cx, s.cy, s.cz, s.cfield, 0.5 * s.omega, 0)),
+    "ising_transverse": (("g", "b"), lambda s: (0, 0, 1, s.b, 0, 0)),
+    # the small site-dependent tilt lifts degeneracies of the transverse Ising spectrum
+    "ising_gradient": (("g", "b"), lambda s: (0, 0, 1, s.b, 0, s.g * s.b * 1e-5)),
+}
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Declarative Hamiltonian description.
 
-    Kinds (pairwise couplings sum over all qubit pairs):
-
-    * ``ising``             g * sum_{i<j} sz_i sz_j + (omega/2) sum_k sz_k
-    * ``sxsx``              g * sum_{i<j} sx_i sx_j + (omega/2) sum_k sz_k
-    * ``xyz``               g * (cx sx.sx + cy sy.sy + cz sz.sz summed over
-                            pairs + cfield sum_k sx_k) + (omega/2) sum_k sz_k
-    * ``ising_transverse``  g * (sum_{i<j} sz_i sz_j + b sum_k sx_k)
-    * ``ising_gradient``    ising_transverse plus a small z gradient
-                            g*b*1e-5*(k+1)/n per site k to lift degeneracies
-    * ``custom``            explicit Hermitian matrix
+    ``KINDS`` maps each kind to the parameters it reads: the spin kinds of
+    ``_SPIN_KINDS`` and ``custom``, an explicit Hermitian ``matrix``.
     """
 
     kind: str
@@ -200,7 +209,7 @@ class HamiltonianSpec:
     cfield: float = 0.5
     matrix: np.ndarray | None = None
 
-    KINDS = ("ising", "sxsx", "xyz", "ising_transverse", "ising_gradient", "custom")
+    KINDS = {**{kind: params for kind, (params, _) in _SPIN_KINDS.items()}, "custom": ("matrix",)}
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
@@ -209,56 +218,37 @@ class HamiltonianSpec:
             raise ValueError("custom Hamiltonian requires a matrix")
 
 
-def _pair_coupling(n: int, which: str) -> np.ndarray:
-    d = 2**n
-    out = np.zeros((d, d), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out += local_pauli(n, i, which) @ local_pauli(n, j, which)
-    return out
-
-
-def _site_field(n: int, which: str) -> np.ndarray:
-    d = 2**n
-    out = np.zeros((d, d), dtype=complex)
-    for k in range(n):
-        out += local_pauli(n, k, which)
-    return out
-
-
 def build_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:
-    """Hermitian Hamiltonian matrix for the given spec on n qubits."""
+    """Hermitian Hamiltonian matrix for the given spec on n qubits.
+
+    Spin kinds are written by bit arithmetic on the basis index, where site
+    k is bit n-1-k: sz_k is (-1)^bit on the diagonal, sx_k flips the bit,
+    and sx_i sx_j and sy_i sy_j both flip bits i and j, with weights 1 and
+    -sz_i sz_j.
+    """
     if n < 1:
         raise ValueError("need at least one qubit")
-    if spec.kind != "custom" and n < 2 and spec.kind != "ising":
-        # pairwise kinds need a pair; plain ising degenerates to the field part
-        if spec.kind in ("sxsx", "xyz", "ising_transverse", "ising_gradient"):
-            raise ValueError(f"kind {spec.kind!r} needs n >= 2")
+    d = 2**n
     if spec.kind == "custom":
         h = np.array(spec.matrix, dtype=complex)
+        if h.shape != (d, d):
+            raise ValueError(f"custom Hamiltonian must be {d} x {d} for {n} qubits, got {h.shape}")
         if np.max(np.abs(h - h.conj().T)) > 1e-12:
             raise ValueError("custom Hamiltonian must be Hermitian")
-        n_qubits_of(h.shape[0])
         return h
-    if spec.kind == "ising":
-        h = spec.g * _pair_coupling(n, "z") if n >= 2 else np.zeros((2, 2), dtype=complex)
-        return h + 0.5 * spec.omega * _site_field(n, "z")
-    if spec.kind == "sxsx":
-        return spec.g * _pair_coupling(n, "x") + 0.5 * spec.omega * _site_field(n, "z")
-    if spec.kind == "xyz":
-        h = spec.g * (
-            spec.cx * _pair_coupling(n, "x")
-            + spec.cy * _pair_coupling(n, "y")
-            + spec.cz * _pair_coupling(n, "z")
-            + spec.cfield * _site_field(n, "x")
-        )
-        return h + 0.5 * spec.omega * _site_field(n, "z")
-    if spec.kind == "ising_transverse":
-        return spec.g * (_pair_coupling(n, "z") + spec.b * _site_field(n, "x"))
-    # ising_gradient: transverse Ising plus a tiny site-dependent z field
-    h = spec.g * (_pair_coupling(n, "z") + spec.b * _site_field(n, "x"))
-    for k in range(n):
-        h += spec.g * spec.b * 1e-5 * ((k + 1) / n) * local_pauli(n, k, "z")
+    xx, yy, zz, x, z, tilt = _SPIN_KINDS[spec.kind][1](spec)
+    idx = np.arange(d)
+    bits = [d >> (k + 1) for k in range(n)]
+    sz = [1 - 2 * ((idx & bit) > 0) for bit in bits]
+    total = sum(sz)
+    h = np.zeros((d, d), dtype=complex)
+    # sum_{i<j} sz_i sz_j = (Z^2 - n) / 2, exact in integers
+    h[idx, idx] = spec.g * (zz * ((total * total - n) // 2)) + z * total
+    for i, bit in enumerate(bits):
+        h[idx, idx] += tilt * ((i + 1) / n) * sz[i]
+        h[idx ^ bit, idx] = spec.g * x
+        for j in range(i + 1, n):
+            h[idx ^ bit ^ bits[j], idx] = spec.g * (xx - yy * sz[i] * sz[j])
     return h
 
 
@@ -392,7 +382,7 @@ def thermal_generator(
     group = np.concatenate(([0], np.cumsum(split)))
     level = (np.bincount(group, evals) / np.bincount(group))[group]
     # squared lowering-operator matrix elements in the eigenbasis, summed per qubit
-    melem = sum(np.abs(vecs.conj().T @ local_pauli(n, j, "-") @ vecs) ** 2 for j in range(n))
+    melem = sum(np.abs(_lowering_elements(vecs, j)) ** 2 for j in range(n))
     # rate[a, b]: population transfer a -> b; N = 1/expm1(inf) = 0 inside a group
     de = level[:, None] - level[None, :]
     with np.errstate(over="ignore"):
@@ -404,6 +394,14 @@ def thermal_generator(
     mat = (w @ rate.T) @ w.conj().T
     _add_sides(mat, k_half, k_half)
     return Superoperator(mat, n)
+
+
+def _lowering_elements(vecs: np.ndarray, j: int) -> np.ndarray:
+    """<a|sm_j|b> between columns a and b of ``vecs``: sm_j = |1><0| on
+    site j takes each row with site j's bit clear to the row with it set."""
+    bit = vecs.shape[0] >> (j + 1)
+    up = np.flatnonzero(np.arange(vecs.shape[0]) & bit)
+    return vecs[up].conj().T @ vecs[up ^ bit]
 
 
 def _add_sides(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:

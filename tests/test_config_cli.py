@@ -19,7 +19,7 @@ from resetlb.config import (
     parse_config,
     reset_spec_from_config,
 )
-from resetlb.liouville import ResetSpec, reset_generator
+from resetlb.liouville import HamiltonianSpec, ResetSpec, build_hamiltonian, reset_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -107,6 +107,16 @@ MALFORMED = {
     "measures n_max fraction": gas_cfg_dict(measures={"lam": 2.0, "n_min": 0, "n_max": 4.5}),
     "spingas steps fraction": {"model": "spingas", "spingas": {"steps": 10.5}},
     "spingas lattice list": {"model": "spingas", "spingas": {"lattice": [[6], 6]}},
+    # keys a section does not read, never silently dropped, and custom matrices
+    # that are not a Hermitian operator on n_qubits
+    "reset state and states": gas_cfg_dict(reset={"r": 10.0, "state": "plus", "states": ["plus", "zero"]}),
+    "omega with ising_transverse": gas_cfg_dict(hamiltonian={"kind": "ising_transverse", "g": 10.0, "omega": 3.0}),
+    "b with ising": gas_cfg_dict(hamiltonian={"kind": "ising", "g": 5.0, "b": 0.1}),
+    "hamiltonian kind unknown": gas_cfg_dict(hamiltonian={"kind": "heisenberg", "g": 1.0}),
+    "custom without matrix": gas_cfg_dict(hamiltonian={"kind": "custom"}),
+    "custom non-Hermitian": gas_cfg_dict(hamiltonian={"kind": "custom", "matrix": np.triu(np.ones((4, 4))).tolist()}),
+    "custom wrong dimension": gas_cfg_dict(hamiltonian={"kind": "custom", "matrix": [[1.0, 0.0], [0.0, -1.0]]}),
+    "custom with g": gas_cfg_dict(hamiltonian={"kind": "custom", "matrix": np.eye(4).tolist(), "g": 5.0}),
 }
 
 
@@ -123,6 +133,21 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, case):
     path = write_cfg(tmp_path, MALFORMED[case])
     assert main(["steady", "--config", path, "--out", str(tmp_path / "m.csv")]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_custom_hamiltonian_from_config(tmp_path):
+    """A Hermitian ``matrix`` builds the Liouvillian of the spin kind it
+    spells out, and runs through the CLI."""
+    ising = gas_cfg_dict(hamiltonian={"kind": "ising", "g": 5.0, "omega": 1.5})
+    matrix = build_hamiltonian(HamiltonianSpec("ising", g=5.0, omega=1.5), 2).real.tolist()
+    custom = gas_cfg_dict(hamiltonian={"kind": "custom", "matrix": matrix})
+    assert np.array_equal(build_liouvillian(parse_config(custom)).matrix, build_liouvillian(parse_config(ising)).matrix)
+    rows = []
+    for name, cfg in (("ising", ising), ("custom", custom)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["steady", "--config", write_cfg(tmp_path, cfg, f"{name}.json"), "--out", str(out)]) == 0
+        rows.append([line for line in out.read_text().splitlines() if not line.startswith("#")])
+    assert rows[0] == rows[1] and len(rows[0]) == 2
 
 
 def test_sections_the_model_never_reads_rejected():

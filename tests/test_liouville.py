@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,7 @@ from resetlb.liouville import (
     state_from_bloch,
     thermal_generator,
 )
+from resetlb.liouville import _lowering_elements
 from resetlb.qop import (
     bell_state,
     ket,
@@ -59,8 +62,78 @@ def test_gradient_field_lifts_degeneracy():
 def test_unknown_kind_and_custom_validation():
     with pytest.raises(ValueError):
         HamiltonianSpec("bogus")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Hermitian"):
         build_hamiltonian(HamiltonianSpec("custom", matrix=np.array([[0, 1], [0, 0]])), 1)
+    with pytest.raises(ValueError, match="4 x 4"):
+        build_hamiltonian(HamiltonianSpec("custom", matrix=qop.PAULI["x"]), 2)
+
+
+def kron_pair_coupling(n, which):
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out += local_pauli(n, i, which) @ local_pauli(n, j, which)
+    return out
+
+
+def kron_site_field(n, which):
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for k in range(n):
+        out += local_pauli(n, k, which)
+    return out
+
+
+def kron_hamiltonian(spec, n):
+    """Reference spin Hamiltonians summed from kron-embedded Pauli products."""
+    pair, site = kron_pair_coupling, kron_site_field
+    if spec.kind == "ising":
+        return spec.g * pair(n, "z") + 0.5 * spec.omega * site(n, "z")
+    if spec.kind == "sxsx":
+        return spec.g * pair(n, "x") + 0.5 * spec.omega * site(n, "z")
+    if spec.kind == "xyz":
+        h = spec.g * (
+            spec.cx * pair(n, "x") + spec.cy * pair(n, "y") + spec.cz * pair(n, "z") + spec.cfield * site(n, "x")
+        )
+        return h + 0.5 * spec.omega * site(n, "z")
+    h = spec.g * (pair(n, "z") + spec.b * site(n, "x"))
+    if spec.kind == "ising_gradient":
+        for k in range(n):
+            h += spec.g * spec.b * 1e-5 * ((k + 1) / n) * local_pauli(n, k, "z")
+    return h
+
+
+SPIN_KINDS = sorted(set(HamiltonianSpec.KINDS) - {"custom"})
+HAMILTONIAN_PARAMS = ("g", "omega", "b", "cx", "cy", "cz", "cfield")
+
+
+@pytest.mark.parametrize("kind", SPIN_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_spin_hamiltonians_equal_kron_formulas(kind, n):
+    """The bit-arithmetic writer keeps the kron summation order, so every
+    spin kind matches its reference bit for bit."""
+    for draw in np.random.default_rng(n).normal(size=(3, 7)) * [[0.9], [13.7], [2e-3]]:
+        spec = HamiltonianSpec(kind, **dict(zip(HAMILTONIAN_PARAMS, draw)))
+        assert np.array_equal(build_hamiltonian(spec, n), kron_hamiltonian(spec, n))
+
+
+@pytest.mark.parametrize("kind", SPIN_KINDS)
+def test_spin_kind_reads_exactly_its_parameters(kind):
+    """Each parameter ``KINDS`` lists changes H; every other one leaves it alone."""
+    base = build_hamiltonian(HamiltonianSpec(kind, g=1.3, omega=0.4, b=0.6), 3)
+    for name in HAMILTONIAN_PARAMS:
+        moved = build_hamiltonian(replace(HamiltonianSpec(kind, g=1.3, omega=0.4, b=0.6), **{name: 2.9}), 3)
+        assert np.array_equal(moved, base) == (name not in HamiltonianSpec.KINDS[kind]), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_gathered_lowering_elements_equal_kron_product(n, rng):
+    a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+    for h in (a + a.conj().T, build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n)):
+        vecs = np.linalg.eigh(h)[1]
+        for j in range(n):
+            want = vecs.conj().T @ local_pauli(n, j, "-") @ vecs
+            # the same products in another summation order: equal up to rounding
+            np.testing.assert_allclose(_lowering_elements(vecs, j), want, rtol=0, atol=1e-15)
 
 
 def test_xyz_hermitian_with_field():
@@ -497,6 +570,18 @@ def test_non_finite_entries_rejected(bad):
 
 
 # [c, r, c', r'] entries: a row with c = r, a row with c != r, and its partner
+def test_superoperator_takes_ownership_of_a_complex_array():
+    """A complex128 matrix is stored as given and frozen, not copied; any
+    other dtype is converted into a new array and the caller's stays writable."""
+    mat = np.zeros((16, 16), dtype=complex)
+    lam = Superoperator(mat, 2)
+    assert lam.matrix is mat and not mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 1.0
+    real = np.zeros((16, 16))
+    assert Superoperator(real, 2).matrix is not real and real.flags.writeable
+
+
 # (r, c, r', c'); each must equal the conjugate of its partner
 @pytest.mark.parametrize("entry", [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (3, 2, 0, 3)])
 @pytest.mark.parametrize("n", [2, 3])
