@@ -3,11 +3,13 @@
 
 Each row of EXPERIMENTS is (subcommand, config name in configs/, extra
 arguments); the config names its output file.  The README maps each config
-to the result it reproduces.  Usage: python scripts/run_experiments.py
+to the result it reproduces.  Each run prints its exit code and wall time.
+Usage: python scripts/run_experiments.py
 """
 
 import pathlib
 import sys
+import time
 
 from resetlb.cli import main
 
@@ -32,7 +34,8 @@ EXPERIMENTS = [
 if __name__ == "__main__":
     pathlib.Path("data").mkdir(exist_ok=True)
     for command, name, extra in EXPERIMENTS:
+        start = time.perf_counter()
         rc = main([command, "--config", str(CONFIGS / f"{name}.json"), "--no-timestamp", *extra])
-        print(f"{name}: exit {rc}")
+        print(f"{name}: exit {rc} in {time.perf_counter() - start:.1f} s")
         if rc:
             sys.exit(rc)

@@ -42,7 +42,7 @@ from resetlb.entanglement import (
     poisson_reduced_negativity,
 )
 from resetlb.liouville import Superoperator, reset_generator
-from resetlb.spingas import bootstrap_stderr, run_ensemble
+from resetlb.spingas import bootstrap_stderr, run_ensembles
 
 
 class SolverError(RuntimeError):
@@ -163,9 +163,11 @@ def cmd_spingas(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"spingas needs --runs >= 1, got {args.runs}")
     points, params = _sweep_points(cfg)
 
+    # every point is validated before any work; points that share their
+    # trajectories run in one kinematic pass
+    configs = [gas_config(cfg.with_overrides(overrides)) for overrides in points]
     rows = []
-    for overrides in points:
-        res = run_ensemble(gas_config(cfg.with_overrides(overrides)), args.runs)
+    for overrides, res in zip(points, run_ensembles(configs, args.runs)):
         stderr = bootstrap_stderr(res.per_run, n_boot=200, seed=cfg.seed)
         rows.append([overrides[p] for p in params] + [res.negativity, stderr])
     columns = params + ["negativity", "stderr"]

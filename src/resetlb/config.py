@@ -256,6 +256,8 @@ def parse_config(data) -> ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"sweep axis missing key {exc}") from None
+        except ConfigError:  # from _integer, already names ``points``
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sweep axis min and max must be numbers: {exc}") from None
         if not isinstance(axis.param, str):

@@ -249,14 +249,6 @@ def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:
     )
 
 
-def slowest_decay_rate(report: SpectrumReport) -> float:
-    """Smallest-magnitude nonzero decay rate |Re lambda| in the spectrum."""
-    rates = [-ev.real for ev in report.eigenvalues if -ev.real > report.grouping_tol]
-    if not rates:
-        raise ValueError("spectrum has no decaying eigenvalues")
-    return min(rates)
-
-
 def entangling_profile(
     lam_no_reset: Superoperator,
     rho_reset: qop.DensityMatrix,

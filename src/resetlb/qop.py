@@ -202,13 +202,6 @@ def random_density(n: int, rng: np.random.Generator, rank: int | None = None) ->
     return rho / np.trace(rho).real
 
 
-def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix."""
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 # --- vectorization (column stacking) -------------------------------------
 #
 # vec stacks columns: vec(A rho B) = (B^T kron A) vec(rho).  This convention

@@ -34,6 +34,14 @@ and independent of execution order.  The ensemble draws each run's
 uniforms in chunks of steps; PCG64 spends one 64-bit draw per double, so
 consecutive chunks continue the same stream as a single draw would, and
 the memory held for uniforms does not grow with ``steps``.
+
+Sweep points share their trajectories: configs with the same lattice,
+``n_env``, ``steps`` and seed read the same uniforms, and an exchange
+leaves the particle where it is, so they see the same moves and contacts.
+Only the exchange decisions (``u < exchange_prob`` on the same uniforms)
+and the phases ``psi`` and ``phi`` differ.  :func:`run_ensembles` therefore
+draws and moves the particles once for all such points and keeps only the
+phase bookkeeping per point.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ LAZY_STAY_PROB = 0.2
 COMPLEX_ESCAPE_PROB = 0.02
 _DROW = np.array([1, -1, 0, 0])
 _DCOL = np.array([0, 0, 1, -1])
-_DRAW_BYTES = 4 * 2**20  # uniforms held at once by _compact_ensemble, all runs
+_DRAW_BYTES = 4 * 2**20  # uniforms held at once by _trajectories, all runs
 
 
 @dataclass(frozen=True)
@@ -296,78 +304,144 @@ def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
     chunks of steps (about ``_DRAW_BYTES`` for all runs together) from the
     same streams ``simulate_run`` reads, so memory is independent of
     ``steps``.  Per-run matrices are summed in run order, so results are
-    bit-stable for a given (config, n_runs).
+    bit-stable for a given (config, n_runs).  Sweep points that differ only
+    in ``psi``, ``phi`` or ``exchange_prob`` share their trajectories (see
+    the module notes); :func:`run_ensembles` runs them in one pass, and
+    this is its one-point case, with the same bits.
     """
-    if n_runs < 1:
-        raise ValueError("need at least one run")
-    rho_runs = _compact_ensemble(config, n_runs)
-    mean = rho_runs.mean(axis=0)
+    return run_ensembles([config], n_runs)[0]
+
+
+def run_ensembles(configs, n_runs: int) -> list[EnsembleResult]:
+    """:func:`run_ensemble` of every config, in order, with one kinematic
+    pass per group of configs that share their trajectories (same lattice,
+    ``n_env``, ``steps`` and seed; see the module notes on randomness).
+    Per-point arithmetic is that of a single call, so each result is
+    bit-identical to ``run_ensemble(config, n_runs)``.
+    """
     from resetlb.entanglement import negativity as _neg
 
-    state = qop.validate_density(mean, tol=1e-9)
-    return EnsembleResult(
-        mean_state=state,
-        negativity=_neg(state, (0,)),
-        per_run=rho_runs,
-    )
+    if n_runs < 1:
+        raise ValueError("need at least one run")
+    configs = list(configs)
+    groups: dict[tuple, list[int]] = {}
+    for i, cfg in enumerate(configs):
+        groups.setdefault(_kinematic_key(cfg), []).append(i)
+    results = {}
+    for members in groups.values():
+        for i, rho_runs in zip(members, _compact_ensemble([configs[i] for i in members], n_runs)):
+            state = qop.validate_density(rho_runs.mean(axis=0), tol=1e-9)
+            results[i] = EnsembleResult(mean_state=state, negativity=_neg(state, (0,)), per_run=rho_runs)
+    return [results[i] for i in range(len(configs))]
+
+
+def _kinematic_key(config: GasConfig) -> tuple:
+    """What fixes a run's particle trajectories."""
+    return tuple(config.lattice), config.n_env, config.steps, config.seed
 
 
 def _chunk_steps(n_runs: int, n_particles: int) -> int:
-    """Steps per chunk of uniforms drawn at once by ``_compact_ensemble``."""
+    """Steps per chunk of uniforms drawn at once by ``_trajectories``."""
     return max(1, _DRAW_BYTES // (8 * n_runs * (n_particles + 2)))
 
 
-def _compact_ensemble(config: GasConfig, n_runs: int) -> np.ndarray:
-    cfg = config
-    rows, cols = cfg.lattice
-    n_p = cfg.n_particles
+def _trajectories(config: GasConfig, n_runs: int):
+    """The shared kinematics of every run: yields, step by step, the sites
+    after the move (runs, n_particles) and the step's two exchange uniforms
+    (2, runs).  Uniforms are drawn per run in chunks of ``_chunk_steps``
+    steps, and the buffers go with the generator once it is exhausted."""
+    rows, cols = config.lattice
+    n_p = config.n_particles
     rngs = []
     site = np.zeros((n_runs, n_p), dtype=np.intp)
     site[:, 1] = 1 % cols
-    for rid, ss in enumerate(np.random.SeedSequence(cfg.seed).spawn(n_runs)):
+    for rid, ss in enumerate(np.random.SeedSequence(config.seed).spawn(n_runs)):
         rng = np.random.Generator(np.random.PCG64(ss))
-        if cfg.n_env:
-            u0 = rng.random((cfg.n_env, 2))
+        if config.n_env:
+            u0 = rng.random((config.n_env, 2))
             site[rid, 2:] = (
                 np.floor(u0[:, 0] * rows).astype(np.intp) * cols
                 + np.floor(u0[:, 1] * cols).astype(np.intp)
             )
         rngs.append(rng)
 
-    nbr = _neighbour_table(cfg.lattice)
-    theta = np.zeros(n_runs)
-    env = np.zeros((2, n_runs, cfg.n_env))
-    damp = np.ones((n_runs, 2), dtype=complex)
+    nbr = _neighbour_table(config.lattice)
     chunk = _chunk_steps(n_runs, n_p)
     # run-major, so each run's draw fills its block in place; the move codes
     # come out step-major, so every step reads contiguous rows
-    u = np.empty((n_runs, min(chunk, cfg.steps), n_p + 2))
-    scratch = np.empty((min(chunk, cfg.steps), n_runs, n_p))
-
-    for t0 in range(0, cfg.steps, chunk):
-        k = min(chunk, cfg.steps - t0)
+    u = np.empty((n_runs, min(chunk, config.steps), n_p + 2))
+    scratch = np.empty((min(chunk, config.steps), n_runs, n_p))
+    for t0 in range(0, config.steps, chunk):
+        k = min(chunk, config.steps - t0)
         for rid, rng in enumerate(rngs):
             rng.random(out=u[rid, :k])
         by_step = u[:, :k].transpose(1, 0, 2)
         free, stuck = _move_codes(by_step[..., :n_p], scratch[:k])
-        exchanged = by_step[..., n_p:] < cfg.exchange_prob
+        u_exchange = by_step[..., n_p:].transpose(0, 2, 1).copy()  # (k, 2, runs)
         for t in range(k):
             site = _move_sites(site, free[t], stuck[t], nbr)
-            theta += cfg.psi * (site[:, 0] == site[:, 1])
-            if cfg.n_env:
-                for s in (0, 1):
-                    env[s] += cfg.phi * (site[:, 2:] == site[:, s : s + 1])
+            yield site, u_exchange[t]
 
+
+def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
+    """Per-run pair matrices (runs, 4, 4) of each of ``configs``, which must
+    share one kinematic key.  One pass of :func:`_trajectories` serves all P
+    points; ``theta`` (P, runs), ``env`` (2, P, runs, n_env) and ``damp``
+    (2, P, runs) carry each point's phases, ``env`` and ``damp`` indexed
+    first by system qubit."""
+    cfg = configs[0]
+    if any(_kinematic_key(c) != _kinematic_key(cfg) for c in configs):
+        raise ValueError("configs of one pass must share lattice, n_env, steps and seed")
+    n_pts = len(configs)
+    psis, psi_at = _distinct([c.psi for c in configs])
+    phis, phi_at = _distinct([c.phi for c in configs])
+    pex = np.array([c.exchange_prob for c in configs])[:, None]
+    theta = np.zeros((n_pts, n_runs))
+    env = np.zeros((2, n_pts, n_runs, cfg.n_env))
+    damp = np.ones((2, n_pts, n_runs), dtype=complex)
+    # the same arrays with (point, run) flattened, for the exchanges
+    flat_theta = theta.reshape(-1)
+    flat_env = env.reshape(2, n_pts * n_runs, cfg.n_env)
+    flat_damp = damp.reshape(2, -1)
+    point_starts = np.arange(n_pts + 1) * n_runs
+
+    for site, u_exchange in _trajectories(cfg, n_runs):
+        theta += (psis[:, None] * (site[:, 0] == site[:, 1]))[psi_at]
+        if cfg.n_env:
             for s in (0, 1):
-                idx = np.flatnonzero(exchanged[t, :, s])
-                if not idx.size:
-                    continue
-                damp[idx, 1 - s] *= (1.0 + np.exp(1j * theta[idx])) / 2.0
-                theta[idx] = 0.0
-                env[s, idx] = 0.0
-                damp[idx, s] = 1.0
+                env[s] += (phis[:, None, None] * (site[:, 2:] == site[:, s : s + 1]))[phi_at]
 
-    return _compact_reduced(theta, env, damp)
+        exchanged = (u_exchange[:, None, :] < pex).reshape(2, -1)  # (2, P * runs)
+        for s in (0, 1):
+            idx = np.flatnonzero(exchanged[s])
+            if not idx.size:
+                continue
+            kept = flat_damp[1 - s, idx]
+            factor = (1.0 + np.exp(1j * flat_theta[idx])) / 2.0
+            # numpy can round a complex product differently by vector
+            # length (one element skips the fused SIMD loop), so each
+            # point multiplies its own runs, as a one-point pass does
+            bounds = np.searchsorted(idx, point_starts)
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                if a < b:
+                    kept[a:b] *= factor[a:b]
+            flat_damp[1 - s, idx] = kept
+            flat_theta[idx] = 0.0
+            flat_env[s, idx] = 0.0
+            flat_damp[s, idx] = 1.0
+
+    return [_compact_reduced(theta[p], env[:, p], np.ascontiguousarray(damp[:, p].T)) for p in range(n_pts)]
+
+
+def _distinct(values) -> tuple[np.ndarray, np.ndarray | slice]:
+    """The distinct ``values`` and an index that maps them back onto the
+    points (a plain broadcast when all are equal), so a phase times a
+    contact is computed once per distinct phase.  Merging 0.0 with -0.0
+    cannot change a bit: the accumulated phases are sums that start at
+    0.0, and such a sum is never -0.0, so adding either zero leaves it as
+    it is."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, (inverse if distinct.size > 1 else slice(None))
 
 
 def _compact_reduced(theta, env, damp) -> np.ndarray:

@@ -135,6 +135,15 @@ def test_malformed_values_are_config_errors(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize("points", [2.9, True], ids=["fraction", "bool"])
+def test_sweep_points_error_names_points(tmp_path, capsys, points):
+    """A bad ``points`` is reported as such, not as a bad ``min`` or ``max``."""
+    path = write_cfg(tmp_path, gas_cfg_dict(sweep=[{"param": "reset.r", "min": 0, "max": 1, "points": points}]))
+    assert main(["steady", "--config", path, "--out", str(tmp_path / "m.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "points" in err and "min and max" not in err
+
+
 def test_custom_hamiltonian_from_config(tmp_path):
     """A Hermitian ``matrix`` builds the Liouvillian of the spin kind it
     spells out, and runs through the CLI."""

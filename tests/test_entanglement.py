@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_unitary
 from hypothesis import given, settings, strategies as st
 
 from resetlb import qop
@@ -22,7 +23,7 @@ from resetlb.liouville import (
     dephasing_generator,
     reset_generator,
 )
-from resetlb.qop import bell_state, ket, projector, random_density, random_unitary, validate_density
+from resetlb.qop import bell_state, ket, projector, random_density, validate_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

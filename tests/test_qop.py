@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_unitary
 from hypothesis import given, settings, strategies as st
 
 from resetlb.qop import (
@@ -11,7 +12,6 @@ from resetlb.qop import (
     partial_transpose,
     projector,
     random_density,
-    random_unitary,
     trace_norm,
     validate_density,
     vec,

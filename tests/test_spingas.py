@@ -1,10 +1,12 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resetlb import qop
+from resetlb import cli, qop, spingas
+from resetlb.config import gas_config, parse_config
 from resetlb.entanglement import negativity
 from resetlb.spingas import (
     GasConfig,
@@ -14,6 +16,7 @@ from resetlb.spingas import (
     new_state,
     reduced_density,
     run_ensemble,
+    run_ensembles,
     simulate_run,
     step,
 )
@@ -206,7 +209,7 @@ def test_ensemble_matches_reference_runs():
     ref = []
     for ss in streams:
         ref.append(simulate_run(cfg, np.random.Generator(np.random.PCG64(ss))).matrix)
-    compact = _compact_ensemble(cfg, n_runs)
+    (compact,) = _compact_ensemble([cfg], n_runs)
     assert np.max(np.abs(np.array(ref) - compact)) < 1e-12
     res = run_ensemble(cfg, n_runs)
     assert np.max(np.abs(res.mean_state.matrix - np.mean(ref, axis=0))) < 1e-12
@@ -330,20 +333,156 @@ def test_compact_ensemble_bit_identical_across_chunks(n_env, exchange_prob):
         cfg = GasConfig(
             lattice=(3, 4), n_env=n_env, psi=0.7, phi=0.3, exchange_prob=exchange_prob, steps=steps, seed=123
         )
-        assert np.array_equal(_compact_ensemble(cfg, n_runs), _full_buffer_ensemble(cfg, n_runs)), steps
+        (got,) = _compact_ensemble([cfg], n_runs)
+        assert np.array_equal(got, _full_buffer_ensemble(cfg, n_runs)), steps
 
 
 def test_compact_ensemble_memory_independent_of_steps():
-    def peak(steps):
-        cfg = GasConfig(lattice=(6, 6), n_env=8, psi=0.1, phi=0.001, exchange_prob=0.5, steps=steps, seed=4)
+    def peak(steps, n_points):
+        configs = [
+            GasConfig(lattice=(6, 6), n_env=8, psi=0.1, phi=0.001, exchange_prob=x, steps=steps, seed=4)
+            for x in np.linspace(0.5, 1.0, n_points)
+        ]
         tracemalloc.start()
         try:
-            _compact_ensemble(cfg, 200)
+            _compact_ensemble(configs, 200)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(4000) <= 1.1 * peak(400)
+    for n_points in (1, 5):  # one point, and one pass shared by five
+        assert peak(4000, n_points) <= 1.1 * peak(400, n_points), n_points
+
+
+# --- one kinematic pass for many sweep points ----------------------------------
+
+BATCH_RUNS = 200
+SWEEPS = {
+    "exchange": [dict(exchange_prob=x) for x in (0.0, 0.3, 1.0)],
+    "psi x exchange": [dict(psi=p, exchange_prob=x) for p in (0.0, -1.3) for x in (0.0, 0.3, 1.0)],
+    "phi": [dict(phi=f, exchange_prob=0.3) for f in (0.0, 0.3, -0.05, 2.0)],
+}
+
+
+@pytest.mark.parametrize("sweep", sorted(SWEEPS))
+@pytest.mark.parametrize("n_env", [0, 3])
+def test_run_ensembles_bit_identical_to_separate_calls(monkeypatch, sweep, n_env):
+    """Every point of a batched pass gives the per-run matrices of its own
+    single-point call, at and across a chunk edge (the single-point call is
+    pinned to the full-buffer reference above)."""
+    monkeypatch.setattr(spingas, "_DRAW_BYTES", 2**18)  # chunks of a few dozen steps
+    k = _chunk_steps(BATCH_RUNS, 2 + n_env)
+    assert 2 <= k <= 100
+    for steps in (k, k + 1):
+        base = dict(lattice=(3, 4), n_env=n_env, psi=0.7, phi=0.3, exchange_prob=0.0, steps=steps, seed=321)
+        configs = [GasConfig(**{**base, **point}) for point in SWEEPS[sweep]]
+        for cfg, got in zip(configs, run_ensembles(configs, BATCH_RUNS), strict=True):
+            alone = run_ensemble(cfg, BATCH_RUNS)
+            assert np.array_equal(got.per_run, alone.per_run), (steps, cfg)
+            assert np.array_equal(got.mean_state.matrix, alone.mean_state.matrix)
+            assert got.negativity == alone.negativity
+
+
+def test_run_ensembles_single_run_exchanges():
+    """About one exchange per point and step, and several per run: a point
+    that exchanges in a single run while others exchange in many still
+    gets the damping products of its own one-point call."""
+    base = dict(lattice=(3, 3), n_env=2, psi=0.7, phi=0.2, steps=300, seed=11)
+    configs = [GasConfig(exchange_prob=x, **base) for x in (0.02, 0.04, 0.08)]
+    for cfg, got in zip(configs, run_ensembles(configs, 20), strict=True):
+        assert np.array_equal(got.per_run, run_ensemble(cfg, 20).per_run), cfg
+
+
+def test_run_ensembles_groups_by_trajectories(monkeypatch):
+    """Points that differ in steps, n_env, lattice or seed run in separate
+    passes, one per group, and every result comes back at its own position."""
+    base = dict(lattice=(3, 3), n_env=2, psi=0.4, phi=0.1, exchange_prob=0.2, steps=12, seed=5)
+    variants = [{}, {"steps": 30}, {"exchange_prob": 0.9}, {"n_env": 0}, {"steps": 30, "exchange_prob": 0.9},
+                {"lattice": (2, 4)}, {"seed": 6}, {}]
+    configs = [GasConfig(**{**base, **v}) for v in variants]
+    passes = []
+
+    def counted(group, n_runs):
+        passes.append(len(group))
+        return _compact_ensemble(group, n_runs)
+
+    monkeypatch.setattr(spingas, "_compact_ensemble", counted)
+    results = run_ensembles(configs, 24)
+    monkeypatch.undo()
+    assert passes == [3, 2, 1, 1, 1]
+    assert len(results) == len(configs)
+    for cfg, got in zip(configs, results):
+        assert np.array_equal(got.per_run, run_ensemble(cfg, 24).per_run), cfg
+    assert run_ensembles([], 24) == []
+    with pytest.raises(ValueError):
+        run_ensembles(configs, 0)
+    with pytest.raises(ValueError, match="share"):
+        _compact_ensemble(configs[:2], 24)
+
+
+def _cli_and_pointwise_csv(tmp_path, sweep, runs=30):
+    """The CLI CSV of a spin-gas sweep, and the same CSV written from rows
+    computed one point at a time with ``run_ensemble``."""
+    raw = {
+        "model": "spingas",
+        "spingas": {"lattice": [4, 4], "n_env": 3, "psi": 0.4, "phi": 0.05, "exchange_prob": 0.1, "steps": 40},
+        "sweep": sweep,
+        "seed": 17,
+    }
+    path = tmp_path / "gas.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "cli.csv"
+    assert cli.main(["spingas", "--config", str(path), "--out", str(out), "--runs", str(runs), "--no-timestamp"]) == 0
+
+    cfg = parse_config(raw)
+    points, params = cli._sweep_points(cfg)
+    rows = []
+    for overrides in points:
+        res = run_ensemble(gas_config(cfg.with_overrides(overrides)), runs)
+        stderr = bootstrap_stderr(res.per_run, n_boot=200, seed=cfg.seed)
+        rows.append([overrides[p] for p in params] + [res.negativity, stderr])
+    want = tmp_path / "pointwise.csv"
+    cli._write_csv(str(want), cfg, "spingas", params + ["negativity", "stderr"], rows, no_timestamp=True)
+    return out.read_bytes(), want.read_bytes()
+
+
+def test_cli_exchange_sweep_csv_matches_pointwise(tmp_path):
+    got, want = _cli_and_pointwise_csv(
+        tmp_path, [{"param": "spingas.exchange_prob", "min": 0.0, "max": 1.0, "points": 5}]
+    )
+    assert got == want
+    assert len(got.decode().splitlines()) == 4 + 5
+
+
+def test_cli_steps_and_psi_sweep_matches_pointwise(tmp_path):
+    """A sweep over steps changes the trajectories: each steps value is its
+    own pass, shared by the psi points under it."""
+    got, want = _cli_and_pointwise_csv(
+        tmp_path,
+        [
+            {"param": "spingas.steps", "min": 10, "max": 50, "points": 3},
+            {"param": "spingas.psi", "min": 0.1, "max": 0.9, "points": 2},
+        ],
+    )
+    assert got == want
+    assert len(got.decode().splitlines()) == 4 + 6
+
+
+def test_cli_spingas_validates_every_point_before_running(tmp_path, monkeypatch, capsys):
+    """An invalid point anywhere in the sweep is a config error before any
+    ensemble runs."""
+    calls = []
+    monkeypatch.setattr(cli, "run_ensembles", lambda *a: calls.append(a))
+    raw = {
+        "model": "spingas",
+        "spingas": {"lattice": [3, 3], "n_env": 1, "exchange_prob": 0.0, "steps": 5},
+        "sweep": [{"param": "spingas.exchange_prob", "min": 0.0, "max": 1.5, "points": 4}],
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main(["spingas", "--config", str(path), "--out", str(tmp_path / "x.csv"), "--runs", "4"]) == 1
+    assert "exchange_prob" in capsys.readouterr().err
+    assert not calls
 
 
 def test_ensemble_deterministic():
