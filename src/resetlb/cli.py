@@ -132,11 +132,12 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
         lam = build_liouvillian(point)
         rho0 = initial_state_from_config(point)
         try:
-            result = evolve(lam, rho0, times)
+            # keep only the states: the result holds R and a propagator until dropped
+            states = evolve(lam, rho0, times).states
         except (qop.DensityMatrixError, ValueError) as exc:
             raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
         swept = [overrides[p] for p in params]
-        for t, state in zip(result.times, result.states):
+        for t, state in zip(times, states):
             evals = np.linalg.eigvalsh(state.matrix)
             rows.append(
                 swept + [t, _pair_negativity(state), float(np.trace(state.matrix).real), float(evals[0])]

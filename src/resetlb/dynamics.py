@@ -4,20 +4,21 @@ Every generator of the package preserves Hermiticity, so :func:`evolve` and
 :func:`steady_state` work in real coordinates: a Hermitian rho is the real
 vector x = vec(Re rho - Im rho), an isometry onto R^(D^2), and L acts on it
 as the real matrix R = Re L - Im(L) P, where P is the vec-transpose
-permutation.  Propagators are float64 ``expm`` of R.  Steady states at
-every D^2 come from shifted inverse iteration on R - tol*I with a
-two-vector block whose second Rayleigh quotient tests the null space for
-degeneracy; tol defaults to 1e-10 times ``lam.norm``.  R represents L
-because every :class:`Superoperator` preserves Hermiticity, which is
-checked when it is built and not again here.  scipy is imported where it
-is used, so importing the package does not load it.
+permutation.  Propagators are float64 ``expm`` of R; the Richardson error
+estimate of :func:`evolve` costs one more ``expm`` and is computed only when
+it is read.  Steady states at every D^2 come from shifted inverse iteration
+on R - tol*I with a two-vector block whose second Rayleigh quotient tests
+the null space for degeneracy; tol defaults to 1e-10 times ``lam.norm``.  R
+represents L because every :class:`Superoperator` preserves Hermiticity,
+which is checked when it is built and not again here.  scipy is imported
+where it is used, so importing the package does not load it.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,11 +39,29 @@ class SteadyStateError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
     """States on a time grid plus the error estimate of the largest
-    propagator (one step against two half steps)."""
+    propagator (one step against two half steps).
+
+    ``error_estimate`` is computed on first read and cached.  Until the
+    result is dropped it keeps the real generator and the largest step's
+    propagator, 2 * 8 * D^4 bytes.
+    """
 
     times: np.ndarray
     states: tuple[qop.DensityMatrix, ...]
-    error_estimate: float
+    _gen: np.ndarray = field(repr=False)
+    _dt_max: float = field(repr=False)
+    _largest: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def error_estimate(self) -> float:
+        """max |expm(R dt/2)^2 - expm(R dt)| for the largest step dt; 0.0
+        when the grid takes no step."""
+        if self._largest is None:
+            return 0.0
+        import scipy.linalg
+
+        half = scipy.linalg.expm(self._gen * (self._dt_max / 2.0))
+        return float(np.max(np.abs(half @ half - self._largest)))
 
     def negativities(self, part=(0,)) -> np.ndarray:
         from resetlb.entanglement import negativity
@@ -73,9 +92,10 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
 
     Each step applies expm(R dt) in real coordinates exactly (to solver
     precision), so the local error per step is far below the 1e-10
-    contract; the reported error estimate is a Richardson comparison of the
-    largest step.  Each call logs D^2, the number of distinct steps and the
-    error estimate at DEBUG.
+    contract; the result's ``error_estimate`` is a Richardson comparison of
+    the largest step, computed on first read.  With DEBUG enabled on this
+    module's logger, each call reads it and logs D^2, the number of distinct
+    steps and the estimate.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -107,17 +127,13 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         prev_t = t
         states.append(qop.validate_density(_from_real(x), tol=STATE_TOL))
 
-    err = 0.0
-    if propagators:
-        dt_max = max(propagators)
-        half = scipy.linalg.expm(gen * (dt_max / 2.0))
-        err = float(np.max(np.abs(half @ half - propagators[dt_max])))
-    _log.debug("evolve: D^2=%d steps=%d error_estimate=%.3e", gen.shape[0], len(propagators), err)
-    return EvolutionResult(
-        times=times,
-        states=tuple(states),
-        error_estimate=err,
-    )
+    dt_max = max(propagators, default=0.0)
+    result = EvolutionResult(times, tuple(states), gen, dt_max, propagators.get(dt_max))
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "evolve: D^2=%d steps=%d error_estimate=%.3e", gen.shape[0], len(propagators), result.error_estimate
+        )
+    return result
 
 
 def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.DensityMatrix:

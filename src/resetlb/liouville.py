@@ -15,7 +15,7 @@ product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from resetlb.qop import left_right_superop, n_qubits_of
 TRACE_ROW_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
+_SCALE_BYTES = 2**20  # |L| rows held at once while Superoperator takes norm and peak
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +35,9 @@ class Superoperator:
     Construction refuses non-finite entries, a skew of row (c, r) from the
     conjugate of row (r, c) vec-transposed beyond ``HERMITICITY_TOL`` x
     max|L| (Hermiticity), and trace-row entries beyond ``TRACE_ROW_TOL`` x
-    max(1, max|L|).  ``norm`` is the inf-norm (largest absolute row sum).
+    max(1, max|L|).  ``norm`` is the inf-norm (largest absolute row sum);
+    it and max|L| are taken over blocks of rows of about ``_SCALE_BYTES``,
+    so no D^2 x D^2 temporary is made.
 
     Construction takes ownership of a complex128 ``matrix``: it is stored,
     not copied, and made read-only; pass a copy to keep writing into it.
@@ -49,11 +52,14 @@ class Superoperator:
         d = 2**self.n_qubits
         if mat.shape != (d * d, d * d):
             raise ValueError(f"superoperator shape {mat.shape} does not match n={self.n_qubits}")
-        magnitude = np.abs(mat)
-        norm = float(magnitude.sum(axis=1).max())
-        if not np.isfinite(norm):
-            raise ValueError("superoperator has non-finite entries")
-        peak = float(magnitude.max())
+        norm = peak = 0.0
+        rows = max(1, _SCALE_BYTES // (8 * d * d))
+        for start in range(0, d * d, rows):
+            magnitude = np.abs(mat[start : start + rows])
+            block_norm = float(magnitude.sum(axis=1).max())
+            if not np.isfinite(block_norm):
+                raise ValueError("superoperator has non-finite entries")
+            norm, peak = max(norm, block_norm), max(peak, float(magnitude.max()))
         # row (c, r) of the [c, r, c', r'] view against row (r, c), conjugated
         # and vec-transposed, for r >= c0 over blocks of 64 // d values c >= c0:
         # one pass when d <= 8, about half of L at larger d
@@ -196,7 +202,8 @@ class HamiltonianSpec:
     """Declarative Hamiltonian description.
 
     ``KINDS`` maps each kind to the parameters it reads: the spin kinds of
-    ``_SPIN_KINDS`` and ``custom``, an explicit Hermitian ``matrix``.
+    ``_SPIN_KINDS`` and ``custom``, an explicit Hermitian ``matrix``.  A
+    parameter the kind does not read must keep its field default.
     """
 
     kind: str
@@ -216,6 +223,11 @@ class HamiltonianSpec:
             raise ValueError(f"unknown Hamiltonian kind {self.kind!r}")
         if self.kind == "custom" and self.matrix is None:
             raise ValueError("custom Hamiltonian requires a matrix")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            changed = value is not None if f.default is None else value != f.default
+            if changed and f.name not in ("kind", *self.KINDS[self.kind]):
+                raise ValueError(f"Hamiltonian kind {self.kind!r} does not read {f.name!r}")
 
 
 def build_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:

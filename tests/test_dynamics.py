@@ -88,6 +88,29 @@ def test_evolve_logs_steps_and_error_estimate(caplog, rng):
     assert "error_estimate" in record.getMessage()
 
 
+def counting_expm(monkeypatch) -> list:
+    """Wrap scipy.linalg.expm; the returned list grows by one per call."""
+    calls, expm = [], scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+    return calls
+
+
+def test_error_estimate_is_computed_on_first_read(monkeypatch, caplog, rng):
+    """Below DEBUG, evolve takes one exponential per distinct step; the
+    half-step one runs on the first read of ``error_estimate`` and is cached."""
+    caplog.set_level(logging.INFO, logger="resetlb.dynamics")
+    lam = dephasing_ising_reset(2.0, 1.0, 1.5, 3.0)
+    calls = counting_expm(monkeypatch)
+    res = evolve(lam, validate_density(random_density(2, rng)), [0.0, 0.3, 0.3, 1.0, 1.7])
+    assert len(calls) == 2  # 0.3 and 0.7
+    err = res.error_estimate
+    assert len(calls) == 3
+    assert res.error_estimate == err and len(calls) == 3
+    gen, dt = _real_generator(lam.matrix), 1.0 - 0.3
+    half = scipy.linalg.expm(gen * (dt / 2.0))
+    assert err == float(np.max(np.abs(half @ half - scipy.linalg.expm(gen * dt))))
+
+
 def test_evolve_trace_stays_one(rng):
     lam = dephasing_ising_reset(2.0, 1.0, 1.5, 3.0)
     res = evolve(lam, validate_density(random_density(2, rng)), np.linspace(0, 4, 11))

@@ -66,6 +66,8 @@ def test_unknown_kind_and_custom_validation():
         build_hamiltonian(HamiltonianSpec("custom", matrix=np.array([[0, 1], [0, 0]])), 1)
     with pytest.raises(ValueError, match="4 x 4"):
         build_hamiltonian(HamiltonianSpec("custom", matrix=qop.PAULI["x"]), 2)
+    with pytest.raises(ValueError, match="does not read 'g'"):
+        HamiltonianSpec("custom", matrix=qop.PAULI["x"], g=1.0)
 
 
 def kron_pair_coupling(n, which):
@@ -112,17 +114,26 @@ def test_spin_hamiltonians_equal_kron_formulas(kind, n):
     """The bit-arithmetic writer keeps the kron summation order, so every
     spin kind matches its reference bit for bit."""
     for draw in np.random.default_rng(n).normal(size=(3, 7)) * [[0.9], [13.7], [2e-3]]:
-        spec = HamiltonianSpec(kind, **dict(zip(HAMILTONIAN_PARAMS, draw)))
+        read = HamiltonianSpec.KINDS[kind]
+        spec = HamiltonianSpec(kind, **{name: v for name, v in zip(HAMILTONIAN_PARAMS, draw) if name in read})
         assert np.array_equal(build_hamiltonian(spec, n), kron_hamiltonian(spec, n))
 
 
 @pytest.mark.parametrize("kind", SPIN_KINDS)
 def test_spin_kind_reads_exactly_its_parameters(kind):
-    """Each parameter ``KINDS`` lists changes H; every other one leaves it alone."""
-    base = build_hamiltonian(HamiltonianSpec(kind, g=1.3, omega=0.4, b=0.6), 3)
+    """Each parameter ``KINDS`` lists changes H; every other one is refused
+    unless it keeps its default."""
+    read = HamiltonianSpec.KINDS[kind]
+    spec = HamiltonianSpec(kind, **{name: v for name, v in [("g", 1.3), ("omega", 0.4), ("b", 0.6)] if name in read})
+    base = build_hamiltonian(spec, 3)
     for name in HAMILTONIAN_PARAMS:
-        moved = build_hamiltonian(replace(HamiltonianSpec(kind, g=1.3, omega=0.4, b=0.6), **{name: 2.9}), 3)
-        assert np.array_equal(moved, base) == (name not in HamiltonianSpec.KINDS[kind]), name
+        if name in read:
+            assert not np.array_equal(build_hamiltonian(replace(spec, **{name: 2.9}), 3), base), name
+        else:
+            with pytest.raises(ValueError, match=f"does not read '{name}'"):
+                replace(spec, **{name: 2.9})
+    with pytest.raises(ValueError, match="does not read 'matrix'"):
+        replace(spec, matrix=np.eye(8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -567,6 +578,26 @@ def test_non_finite_entries_rejected(bad):
     mat[5, 9] = bad
     with pytest.raises(ValueError, match="non-finite"):
         Superoperator(mat, 2)
+
+
+def test_superoperator_scale_needs_no_full_temporary():
+    """``norm`` and max|L| come from row blocks, not from a D^2 x D^2 |L|
+    array: constructing an n = 5 Superoperator allocates under a quarter of
+    L, and a non-finite entry in the last block is still refused."""
+    import tracemalloc
+
+    mat = np.array(gas_generator(5).matrix)
+    tracemalloc.start()
+    try:
+        Superoperator(mat, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mat.nbytes / 4
+    mat = np.array(mat)
+    mat[1000, 9] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator(mat, 5)
 
 
 # [c, r, c', r'] entries: a row with c = r, a row with c != r, and its partner
