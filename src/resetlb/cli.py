@@ -15,6 +15,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import sys
 from dataclasses import replace
@@ -29,12 +31,12 @@ from resetlb.config import (
     build_liouvillian,
     gas_config,
     initial_state_from_config,
+    measures_weighting,
     parse_config,
     reset_spec_from_config,
 )
 from resetlb.dynamics import SteadyStateError, evolve, spectrum, steady_state
 from resetlb.entanglement import (
-    PoissonWeighting,
     average_negativity,
     negativity,
     negativity_of_average_reduction,
@@ -70,19 +72,21 @@ def _write_csv(path, cfg: ExperimentConfig, command: str, columns, rows, no_time
 
 
 def _sweep_points(cfg: ExperimentConfig):
-    """Ordered grid of (override dict) for up to two axes."""
-    if not cfg.sweep:
-        return [{}], []
-    axes = cfg.sweep
-    if len(axes) == 1:
-        return [{axes[0].param: v} for v in axes[0].values()], [axes[0].param]
-    outer, inner = axes
-    points = [
-        {outer.param: vo, inner.param: vi}
-        for vo in outer.values()
-        for vi in inner.values()
-    ]
-    return points, [outer.param, inner.param]
+    """Override dict of every grid point, the last axis varying fastest,
+    and the swept parameters."""
+    params = [axis.param for axis in cfg.sweep]
+    grid = itertools.product(*(axis.values() for axis in cfg.sweep))
+    return [dict(zip(params, values)) for values in grid], params
+
+
+@contextlib.contextmanager
+def _at_point(overrides: dict):
+    """Re-raise a ValueError (a ConfigError or a ResetSpec rule) naming the grid point."""
+    try:
+        yield
+    except ValueError as exc:
+        point = ", ".join(f"{param}={value}" for param, value in overrides.items())
+        raise ConfigError(f"{exc} at {point}") from exc
 
 
 def _pair_negativity(state: qop.DensityMatrix) -> float:
@@ -96,8 +100,10 @@ def cmd_steady(cfg: ExperimentConfig, args) -> int:
 
     states = []
     for overrides in points:
+        with _at_point(overrides):
+            lam = build_liouvillian(cfg.with_overrides(overrides))
         try:
-            states.append(steady_state(build_liouvillian(cfg.with_overrides(overrides))))
+            states.append(steady_state(lam))
         except (SteadyStateError, qop.DensityMatrixError) as exc:
             raise SolverError(f"steady-state solve failed at {overrides}: {exc}") from exc
     columns = params + ["negativity"]
@@ -128,9 +134,10 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
 
     rows = []
     for overrides in points:
-        point = cfg.with_overrides(overrides)
-        lam = build_liouvillian(point)
-        rho0 = initial_state_from_config(point)
+        with _at_point(overrides):
+            point = cfg.with_overrides(overrides)
+            lam = build_liouvillian(point)
+            rho0 = initial_state_from_config(point)
         try:
             # keep only the states: the result holds R and a propagator until dropped
             states = evolve(lam, rho0, times).states
@@ -177,17 +184,15 @@ def cmd_spingas(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_measures(cfg: ExperimentConfig, args) -> int:
-    if not cfg.measures:
-        raise ConfigError("measures command requires a measures section")
-    lam = float(cfg.measures.get("lam", 2.0))
-    n_min = int(cfg.measures.get("n_min", 0))
-    n_max = int(cfg.measures.get("n_max", 5))
-    w_full = PoissonWeighting(lam, n_min, n_max)
+    w_full = measures_weighting(cfg)
     w_red = w_full.restricted(2)
-    n_range = range(max(2, n_min), n_max + 1)
+    n_range = range(max(2, w_full.n_min), w_full.n_max + 1)
     points, params = _sweep_points(cfg)
     if params != ["reset.r"]:
         raise ConfigError("measures expects exactly one sweep axis over reset.r")
+    for overrides in points:  # a rate the reset section refuses, before any solve
+        with _at_point(overrides):
+            reset_spec_from_config(cfg.with_overrides(overrides).reset, cfg.n_qubits)
 
     # every generator is affine in r: build the r-free part and the unit-rate
     # reset once per n.  Gradient fields lift degeneracies only at second order

@@ -5,7 +5,9 @@ misspelled physics parameter cannot silently fall back to a default; so
 are sections the model never reads (``spingas`` in a gas or
 strongly_coupled config, the other sections in a spingas config).  All
 rates are numbers in units of the declared unit rate (``unit``, e.g. "B"
-or "gamma"); the unit name is metadata echoed into output headers.  Counts
+or "gamma"); the unit name is metadata echoed into output headers.  Real
+values must be finite JSON numbers; a boolean or a string such as "2.0" is
+an error, never converted.  Counts
 (``n_qubits``, ``seed``, sweep ``points``, the spingas lattice, ``n_env``
 and ``steps``, measures ``n_min`` and ``n_max``) must be integral numbers;
 a fraction or a boolean is an error, never truncated.  ``n_qubits`` and
@@ -44,10 +46,12 @@ state takes no ``purity`` or ``ket``.
 Sweep parameters are dotted paths of any depth into the sections above,
 e.g. ``reset.r``, ``hamiltonian.g``, ``noise.s``, ``spingas.exchange_prob``,
 ``reset.state.purity`` or ``initial_state.phi``; the key must be present
-in the config when it is parsed.  ``steady``, ``evolve`` and ``spingas``
-run once per grid point (``measures`` sweeps ``reset.r`` only,
-``spectrum`` takes no sweep), so a swept ``evolve`` writes one block of
-time rows per point::
+in the config when it is parsed, which checks the config's own values, not
+each grid point's: the CLI reports a point its section refuses (``noise.s``
+past 1, a negative ``measures`` rate) as a config error naming the point.
+``steady``, ``evolve`` and ``spingas`` run once per grid point
+(``measures`` sweeps ``reset.r`` only, ``spectrum`` takes no sweep), so a
+swept ``evolve`` writes one block of time rows per point::
 
     "initial_state": {"type": "weighted_graph", "phi": 0.0},
     "sweep": [{"param": "initial_state.phi", "min": 0, "max": 3.141592653589793,
@@ -56,13 +60,16 @@ time rows per point::
 
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from resetlb import qop
+from resetlb.entanglement import PoissonWeighting
 from resetlb.liouville import (
     GasNoiseParams,
     HamiltonianSpec,
@@ -73,6 +80,7 @@ from resetlb.liouville import (
     build_hamiltonian,
     local_noise_generator,
     reset_generator,
+    state_from_bloch,
     thermal_generator,
 )
 from resetlb.spingas import GasConfig
@@ -92,11 +100,15 @@ _TOP_KEYS = {  # per model: a section the model never reads is an unknown key
     "strongly_coupled": _COMMON_KEYS | _LINDBLAD_SECTIONS,
     "spingas": _COMMON_KEYS | {"spingas"},
 }
-_GAS_NOISE_KEYS = {"B", "C", "s"}
-_THERMAL_KEYS = {"gamma", "beta"}
 _RESET_KEYS = {"r", "state", "states"}
-_SPINGAS_KEYS = {"lattice", "n_env", "psi", "phi", "exchange_prob", "steps"}
-_MEASURE_KEYS = {"lam", "n_min", "n_max"}
+# the keys of each flat section and the value an absent key reads as; a float
+# default marks a real number, an int default a count
+_DEFAULTS = {
+    "noise (gas model)": {"B": 0.0, "C": 0.0, "s": 0.5},
+    "noise (strongly coupled model)": {"gamma": 0.0, "beta": 1.0},
+    "spingas": {"lattice": (6, 6), "n_env": 8, "psi": 0.1, "phi": 0.001, "exchange_prob": 0.0, "steps": 500},
+    "measures": {"lam": 2.0, "n_min": 0, "n_max": 5},
+}
 _SWEEP_KEYS = {"param", "min", "max", "points", "scale"}
 _INITIAL_KEYS = {
     "product": {"type"},
@@ -122,13 +134,26 @@ def _integer(value, where: str) -> int:
 
 
 def _finite(value, where: str) -> float:
-    """``value`` as a float when it converts to a finite one."""
-    try:
-        if np.isfinite(number := float(value)):
-            return number
-    except (TypeError, ValueError):
-        pass
+    """``value`` as a float when it is a finite real number; a boolean, a
+    string or any other type is refused rather than converted."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):  # an int beyond float range
+            if math.isfinite(number := float(value)):
+                return number
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _read_section(section: dict, where: str) -> dict:
+    """The flat section ``where`` over its :data:`_DEFAULTS`: an unlisted key is
+    refused, a real goes through :func:`_finite` and a count through :func:`_integer`."""
+    defaults = _DEFAULTS[where]
+    _check_keys(section, set(defaults), where)
+    name = where.partition(" ")[0]  # "noise (gas model)" -> "noise"
+    read = {**defaults, **section}
+    for key, default in defaults.items():
+        if check := {float: _finite, int: _integer}.get(type(default)):
+            read[key] = check(read[key], f"{name}.{key}")
+    return read
 
 
 @dataclass(frozen=True)
@@ -168,22 +193,10 @@ class ExperimentConfig:
 
     def canonical_json(self) -> str:
         """Stable single-line rendering for output headers."""
-        body = {
-            "model": self.model,
-            "unit": self.unit,
-            "n_qubits": self.n_qubits,
-            "hamiltonian": self.hamiltonian,
-            "noise": self.noise,
-            "reset": self.reset,
-            "initial_state": self.initial_state,
-            "spingas": self.spingas,
-            "measures": self.measures,
-            "sweep": [
-                {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale}
-                for a in self.sweep
-            ],
-            "seed": self.seed,
-        }
+        body = {name: getattr(self, name) for name in ("model", "unit", "n_qubits", "seed", *_SWEPT_SECTIONS)}
+        body["sweep"] = [
+            {"param": a.param, "min": a.lo, "max": a.hi, "points": a.points, "scale": a.scale} for a in self.sweep
+        ]
         return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def with_overrides(self, overrides: dict[str, float]) -> "ExperimentConfig":
@@ -223,23 +236,13 @@ def parse_config(data) -> ExperimentConfig:
         if not isinstance(data[name], dict):
             raise ConfigError(f"{name} must be a JSON object")
 
-    ham = dict(data.get("hamiltonian", {}))
-    noise = dict(data.get("noise", {}))
-    if model == "gas" and noise:
-        _check_keys(noise, _GAS_NOISE_KEYS, "noise (gas model)")
-    if model == "strongly_coupled" and noise:
-        _check_keys(noise, _THERMAL_KEYS, "noise (strongly coupled model)")
-    reset = dict(data.get("reset", {}))
-    _check_keys(reset, _RESET_KEYS, "reset")
-    init = dict(data.get("initial_state", {}))
+    sections = {name: dict(data.get(name, {})) for name in _SWEPT_SECTIONS}
+    _check_keys(sections["reset"], _RESET_KEYS, "reset")
+    init = sections["initial_state"]
     init_kind = init.get("type", "product")
     if init_kind not in _INITIAL_KEYS:
         raise ConfigError(f"unknown initial state type {init_kind!r}")
     _check_keys(init, _INITIAL_KEYS[init_kind], f"initial_state ({init_kind})")
-    sgas = dict(data.get("spingas", {}))
-    _check_keys(sgas, _SPINGAS_KEYS, "spingas")
-    meas = dict(data.get("measures", {}))
-    _check_keys(meas, _MEASURE_KEYS, "measures")
 
     axes = []
     for raw in data.get("sweep", []):
@@ -249,17 +252,13 @@ def parse_config(data) -> ExperimentConfig:
         try:
             axis = SweepAxis(
                 param=raw["param"],
-                lo=float(raw["min"]),
-                hi=float(raw["max"]),
+                lo=_finite(raw["min"], "sweep axis min"),
+                hi=_finite(raw["max"], "sweep axis max"),
                 points=_integer(raw["points"], "sweep axis points"),
                 scale=raw.get("scale", "linear"),
             )
         except KeyError as exc:
             raise ConfigError(f"sweep axis missing key {exc}") from None
-        except ConfigError:  # from _integer, already names ``points``
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sweep axis min and max must be numbers: {exc}") from None
         if not isinstance(axis.param, str):
             raise ConfigError(f"sweep axis param must be a dotted path, got {axis.param!r}")
         if axis.points < 1:
@@ -275,23 +274,12 @@ def parse_config(data) -> ExperimentConfig:
     seed = _integer(data.get("seed", 0), "seed")
     if model != "spingas" and not 1 <= n_qubits <= MAX_DENSE_QUBITS:
         raise ConfigError(f"n_qubits must be between 1 and {MAX_DENSE_QUBITS}")
-    if meas:  # what PoissonWeighting and the dense solver can take
-        lam = _finite(meas.get("lam", 2.0), "measures.lam")
-        n_min = _integer(meas.get("n_min", 0), "measures.n_min")
-        n_max = _integer(meas.get("n_max", 5), "measures.n_max")
-        if lam <= 0 or not 0 <= n_min <= n_max or not 2 <= n_max <= MAX_DENSE_QUBITS:
-            raise ConfigError(f"measures needs lam > 0, 0 <= n_min <= n_max, 2 <= n_max <= {MAX_DENSE_QUBITS}")
 
     cfg = ExperimentConfig(
         model=model,
         unit=str(data.get("unit", "")),
         n_qubits=n_qubits,
-        hamiltonian=ham,
-        noise=noise,
-        reset=reset,
-        initial_state=init,
-        spingas=sgas,
-        measures=meas,
+        **sections,
         sweep=tuple(axes),
         output=data.get("output"),
         seed=seed,
@@ -303,6 +291,8 @@ def parse_config(data) -> ExperimentConfig:
         build_liouvillian(cfg)
         if init:
             initial_state_from_config(cfg)
+        if cfg.measures:
+            measures_weighting(cfg)
     else:
         gas_config(cfg)
     return cfg
@@ -312,7 +302,7 @@ def reset_spec_from_config(reset: dict, n: int) -> ResetSpec | None:
     """ResetSpec from the config section; None when no reset is configured."""
     if not reset:
         return None
-    r = float(reset.get("r", 0.0))
+    r = _finite(reset.get("r", 0.0), "reset.r")
     if "state" in reset and "states" in reset:
         raise ConfigError("reset takes state or states, not both")
     if "states" in reset:
@@ -335,11 +325,9 @@ def _reset_state(spec) -> np.ndarray:
         if "bloch" in spec:
             if len(spec) > 1:
                 raise ConfigError("reset state takes bloch alone, without purity or ket")
-            b1, b2, b3 = (float(x) for x in spec["bloch"])
-            from resetlb.liouville import state_from_bloch
-
+            b1, b2, b3 = (_finite(x, "reset.state.bloch") for x in spec["bloch"])
             return state_from_bloch(b1, b2, b3)
-        p = float(spec.get("purity", 1.0))
+        p = _finite(spec.get("purity", 1.0), "reset.state.purity")
         ket_name = spec.get("ket", "plus")
         if ket_name not in kets:
             raise ConfigError(f"unknown reset ket {ket_name!r}")
@@ -384,27 +372,18 @@ def build_liouvillian(
         gens = []
         if cfg.model == "gas":
             if cfg.noise:
-                params = GasNoiseParams(
-                    B=float(cfg.noise.get("B", 0.0)),
-                    C=float(cfg.noise.get("C", 0.0)),
-                    s=float(cfg.noise.get("s", 0.5)),
-                )
+                params = GasNoiseParams(**_read_section(cfg.noise, "noise (gas model)"))
                 gens.append(local_noise_generator(n, params))
         else:
             if not cfg.noise:
                 raise ConfigError("strongly_coupled model requires a noise section")
-            params = ThermalBathParams(
-                gamma=float(cfg.noise.get("gamma", 0.0)),
-                beta=float(cfg.noise.get("beta", 1.0)),
-            )
+            params = ThermalBathParams(**_read_section(cfg.noise, "noise (strongly coupled model)"))
             gens.append(thermal_generator(h, params, merge_degenerate=merge_degenerate))
         spec = reset_spec_from_config(cfg.reset, n)
         if spec is not None and spec.r > 0:
             gens.append(reset_generator(n, spec))
         return assemble(h, gens, n=n)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # a ConfigError keeps its message
         raise ConfigError(str(exc)) from exc
 
 
@@ -439,21 +418,26 @@ def gas_config(cfg: ExperimentConfig) -> GasConfig:
     """GasConfig for the spingas model."""
     if cfg.model != "spingas":
         raise ConfigError("spingas section is only valid for the spingas model")
-    s = cfg.spingas
-    if not s:
+    if not cfg.spingas:
         raise ConfigError("spingas model requires a spingas section")
+    s = _read_section(cfg.spingas, "spingas")
     try:
-        lattice = tuple(_integer(x, "spingas.lattice") for x in s.get("lattice", (6, 6)))
+        lattice = tuple(_integer(x, "spingas.lattice") for x in s.pop("lattice"))
         if len(lattice) != 2:
             raise ConfigError("lattice must be [rows, cols]")
-        return GasConfig(
-            lattice=lattice,  # type: ignore[arg-type]
-            n_env=_integer(s.get("n_env", 8), "spingas.n_env"),
-            psi=float(s.get("psi", 0.1)),
-            phi=float(s.get("phi", 0.001)),
-            exchange_prob=float(s.get("exchange_prob", 0.0)),
-            steps=_integer(s.get("steps", 500), "spingas.steps"),
-            seed=cfg.seed,
-        )
+        return GasConfig(lattice=lattice, seed=cfg.seed, **s)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def measures_weighting(cfg: ExperimentConfig) -> PoissonWeighting:
+    """Poisson weighting over the particle numbers of the ``measures`` section."""
+    if not cfg.measures:
+        raise ConfigError("measures command requires a measures section")
+    read = _read_section(cfg.measures, "measures")
+    if not 2 <= read["n_max"] <= MAX_DENSE_QUBITS:  # measures need pairs; the dense limit
+        raise ConfigError(f"measures.n_max must be between 2 and {MAX_DENSE_QUBITS}, got {read['n_max']}")
+    try:
+        return PoissonWeighting(**read)
+    except ValueError as exc:  # lam <= 0 or not 0 <= n_min <= n_max
+        raise ConfigError(f"measures: {exc}") from exc

@@ -136,13 +136,13 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
     return result
 
 
-def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.DensityMatrix:
+def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     """Unique null vector of the Liouvillian as a density matrix.
 
     One path at every D^2: shifted inverse iteration in real coordinates
-    with ``null_tol``, by default 1e-10 times ``lam.norm`` (a spectral-radius
-    bound).  A zero generator, no eigenvalue or two within tolerance of zero
-    raise :class:`SteadyStateError`.  The state is Hermitian by construction
+    with tolerance 1e-10 times ``lam.norm`` (a spectral-radius bound).  A
+    zero generator, no eigenvalue or two within tolerance of zero raise
+    :class:`SteadyStateError`.  The state is Hermitian by construction
     and trace-normalized after the solve; its residual ||L rho|| is
     ||R x|| / |tr rho|.  A positivity failure beyond 1e-9 is an error, not
     clipped, since it would mask an assembly bug.  Each solve logs D^2,
@@ -151,7 +151,7 @@ def steady_state(lam: Superoperator, null_tol: float | None = None) -> qop.Densi
     d2 = lam.matrix.shape[0]
     if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
-    tol = null_tol if null_tol is not None else 1e-10 * lam.norm
+    tol = 1e-10 * lam.norm
     gen = _real_generator(lam.matrix)
     x, gap = _inverse_iteration(gen, tol)
     rho = _from_real(x)

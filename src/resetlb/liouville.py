@@ -294,14 +294,16 @@ def _embed_local(mat: np.ndarray, n: int, site: int, block: np.ndarray) -> None:
     mat[idx[:, None, :], idx[None, :, :]] += block[:, :, None]
 
 
+# unit-rate decay, pumping and dephasing blocks: rate * block has the bits of
+# dissipator(jump, rate), so no build calls left_right_superop
+_NOISE_BLOCKS = tuple(dissipator(qop.PAULI[k]) for k in ("-", "+", "z"))
+
+
 def local_noise_generator(n: int, params: GasNoiseParams) -> Superoperator:
     """Sum over qubits of decay (rate B(1-s)), pumping (rate Bs) and
     sigma_z dephasing (rate (2C-B)/4)."""
-    blocks = (
-        dissipator(qop.PAULI["-"], params.B * (1 - params.s)),
-        dissipator(qop.PAULI["+"], params.B * params.s),
-        dissipator(qop.PAULI["z"], (2 * params.C - params.B) / 4),
-    )
+    rates = (params.B * (1 - params.s), params.B * params.s, (2 * params.C - params.B) / 4)
+    blocks = [rate * block for rate, block in zip(rates, _NOISE_BLOCKS)]
     mat = np.zeros((4**n, 4**n), dtype=complex)
     for i in range(n):
         for block in blocks:

@@ -107,6 +107,19 @@ MALFORMED = {
     "measures n_max fraction": gas_cfg_dict(measures={"lam": 2.0, "n_min": 0, "n_max": 4.5}),
     "spingas steps fraction": {"model": "spingas", "spingas": {"steps": 10.5}},
     "spingas lattice list": {"model": "spingas", "spingas": {"lattice": [[6], 6]}},
+    # reals must be JSON numbers: a boolean or a numeric string is refused, not converted
+    "noise s bool": gas_cfg_dict(noise={"B": 0.0, "C": 2.0, "s": True}),
+    "noise C string": gas_cfg_dict(noise={"B": 0.0, "C": "2.0", "s": 0.5}),
+    "reset r string": gas_cfg_dict(reset={"r": "10", "state": "plus"}),
+    "reset purity bool": gas_cfg_dict(reset={"r": 10.0, "state": {"purity": True, "ket": "plus"}}),
+    "reset bloch string": gas_cfg_dict(reset={"r": 10.0, "state": {"bloch": ["0", 0.0, 0.5]}}),
+    "hamiltonian g bool": gas_cfg_dict(hamiltonian={"kind": "ising", "g": True, "omega": 0.0}),
+    "sweep min string": gas_cfg_dict(sweep=[{"param": "reset.r", "min": "0.5", "max": 1, "points": 2}]),
+    "measures lam bool": gas_cfg_dict(measures={"lam": True, "n_min": 0, "n_max": 3}),
+    "initial phi bool": gas_cfg_dict(initial_state={"type": "weighted_graph", "phi": True}),
+    "spingas psi string": {"model": "spingas", "spingas": {"psi": "0.1"}},
+    "spingas exchange_prob bool": {"model": "spingas", "spingas": {"exchange_prob": False}},
+    "noise B beyond float range": gas_cfg_dict(noise={"B": 10**400, "C": 2.0, "s": 0.5}),
     # keys a section does not read, never silently dropped, and custom matrices
     # that are not a Hermitian operator on n_qubits
     "reset state and states": gas_cfg_dict(reset={"r": 10.0, "state": "plus", "states": ["plus", "zero"]}),
@@ -498,6 +511,44 @@ def test_cli_invalid_values_are_config_errors(tmp_path, capsys, case):
     path = write_cfg(tmp_path, cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "e.csv"), *extra]) == 1
     assert capsys.readouterr().err.startswith("config error:")
+
+
+SWEEP_POINT_ERRORS = {
+    # parse time builds the config's own point; the sweep leaves the section's range later
+    "steady noise.s": (
+        "steady",
+        gas_cfg_dict(sweep=[{"param": "noise.s", "min": 0, "max": 1.5, "points": 4}]),
+        "s must lie in [0, 1] at noise.s=1.5",
+    ),
+    "evolve reset purity": (
+        "evolve",
+        gas_cfg_dict(
+            reset={"r": 10.0, "state": {"purity": 0.9, "ket": "plus"}},
+            sweep=[{"param": "reset.state.purity", "min": 0.9, "max": 1.1, "points": 3}],
+        ),
+        "purity must lie in [0, 1] at reset.state.purity=1.1",
+    ),
+    # measures never builds a generator at a swept rate, so ResetSpec's r >= 0 is read per rate
+    "measures negative rate": (
+        "measures",
+        gas_cfg_dict(
+            measures={"lam": 2.0, "n_min": 0, "n_max": 3},
+            sweep=[{"param": "reset.r", "min": -0.5, "max": 2.0, "points": 2}],
+        ),
+        "reset rate must be non-negative at reset.r=-0.5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SWEEP_POINT_ERRORS))
+def test_sweep_point_config_error_names_the_point(tmp_path, capsys, case):
+    command, cfg, message = SWEEP_POINT_ERRORS[case]
+    extra = ["--t-max", "1", "--points", "3"] if command == "evolve" else []
+    out = tmp_path / "p.csv"
+    assert main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
 
 
 def test_cli_exit_code_config_error(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resetlb import qop
+from resetlb import liouville, qop
 from resetlb.dynamics import evolve, steady_state
 from resetlb.liouville import (
     GasNoiseParams,
@@ -511,6 +511,23 @@ def test_single_qubit_generators_equal_kron_sandwiches(n):
     assert np.array_equal(local_noise_generator(n, NOISE).matrix, kron_noise(n, NOISE))
     assert np.array_equal(dephasing_generator(n, 0.61).matrix, kron_dephasing(n, 0.61))
     assert np.array_equal(reset_generator(n, spec).matrix, kron_reset(n, spec))
+
+
+def test_generator_builds_call_no_left_right_superop(monkeypatch):
+    """Every builder writes its local blocks directly; the kron route is the tests' reference."""
+    calls = []
+    kron_route = liouville.left_right_superop
+    monkeypatch.setattr(liouville, "left_right_superop", lambda *a: calls.append(a) or kron_route(*a))
+    n = 3
+    h = build_hamiltonian(HamiltonianSpec("ising_gradient", g=1.1, b=0.7), n)
+    generators = [
+        local_noise_generator(n, NOISE),
+        dephasing_generator(n, 0.61),
+        reset_generator(n, ResetSpec(1.9, RESET_STATES[:n])),
+        thermal_generator(h, ThermalBathParams(gamma=1.0, beta=0.5), merge_degenerate=True),
+    ]
+    assemble(h, generators)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -1,3 +1,4 @@
+import resetlb.analytic
 from resetlb.verify import run_checks
 
 
@@ -8,10 +9,12 @@ def test_all_checks_pass():
     assert len(checks) >= 20
 
 
-def test_perturbed_formula_fails_by_name():
+def test_perturbed_formula_fails_by_name(monkeypatch):
     """Negative control: a shifted constant in the reset-negativity formula
     must be caught by the named check."""
-    checks = run_checks(formula_shift=1e-6)
+    formula = resetlb.analytic.dephasing_ising_reset_negativity
+    monkeypatch.setattr(resetlb.analytic, "dephasing_ising_reset_negativity", lambda *a: formula(*a) + 1e-6)
+    checks = run_checks()
     failed = {c.name for c in checks if not c.passed}
     assert "reset_negativity_formula" in failed
 
