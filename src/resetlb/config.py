@@ -90,7 +90,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-MAX_DENSE_QUBITS = 6  # one D^2 x D^2 complex Liouvillian is 268 MB at n = 6
+MAX_DENSE_QUBITS = 6  # one D^2 x D^2 real generator is 134 MB at n = 6
 
 _MODELS = ("gas", "strongly_coupled", "spingas")
 _LINDBLAD_SECTIONS = {"hamiltonian", "noise", "reset", "initial_state", "measures"}
@@ -141,6 +141,13 @@ def _finite(value, where: str) -> float:
             if math.isfinite(number := float(value)):
                 return number
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
+
+
+def _matrix(rows, where: str) -> np.ndarray:
+    """``rows`` as a float array when it is a list of equal-length lists, every entry through :func:`_finite`."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)) or len(set(map(len, rows))) > 1:
+        raise ConfigError(f"{where} must be a list of equal-length lists of numbers")
+    return np.array([[_finite(v, where) for v in row] for row in rows], ndmin=2)
 
 
 def _read_section(section: dict, where: str) -> dict:
@@ -348,7 +355,8 @@ def hamiltonian_from_config(ham: dict, n: int) -> np.ndarray:
     _check_keys(ham, {"kind", *HamiltonianSpec.KINDS[kind]}, f"hamiltonian ({kind})")
     try:
         if kind == "custom":
-            spec = HamiltonianSpec(kind, matrix=np.array(ham["matrix"], dtype=complex) if "matrix" in ham else None)
+            matrix = _matrix(ham["matrix"], "hamiltonian.matrix") if "matrix" in ham else None
+            spec = HamiltonianSpec(kind, matrix=matrix)
         else:
             params = {key: _finite(v, f"hamiltonian.{key}") for key, v in ham.items() if key != "kind"}
             spec = HamiltonianSpec(kind, **params)
@@ -403,11 +411,11 @@ def initial_state_from_config(cfg: ExperimentConfig) -> qop.DensityMatrix:
         vec = u @ qop.ket("++")
         return qop.validate_density(qop.projector(vec))
     if kind == "matrix":
+        re = _matrix(init.get("re"), "initial_state.re")
+        im = _matrix(init["im"], "initial_state.im") if "im" in init else np.zeros_like(re)
         try:
-            re = np.array(init.get("re"), dtype=float)
-            im = np.array(init.get("im", np.zeros_like(re)), dtype=float)
-            if re.shape != (2**n, 2**n):
-                raise ValueError(f"need {2**n} x {2**n} for n_qubits = {n}, got {re.shape}")
+            if re.shape != (2**n, 2**n) or im.shape != re.shape:
+                raise ValueError(f"need {2**n} x {2**n} for n_qubits = {n}, got {re.shape} and {im.shape}")
             return qop.validate_density(re + 1j * im)
         except (TypeError, ValueError) as exc:  # DensityMatrixError included
             raise ConfigError(f"initial_state.matrix is not a density matrix: {exc}") from exc

@@ -1,17 +1,13 @@
-"""Time evolution, steady states and spectra of Liouvillian matrices.
+"""Time evolution, steady states and spectra of Liouvillian generators.
 
-Every generator of the package preserves Hermiticity, so :func:`evolve` and
-:func:`steady_state` work in real coordinates: a Hermitian rho is the real
-vector x = vec(Re rho - Im rho), an isometry onto R^(D^2), and L acts on it
-as the real matrix R = Re L - Im(L) P, where P is the vec-transpose
-permutation.  Propagators are float64 ``expm`` of R; the Richardson error
-estimate of :func:`evolve` costs one more ``expm`` and is computed only when
-it is read.  Steady states at every D^2 come from shifted inverse iteration
-on R - tol*I with a two-vector block whose second Rayleigh quotient tests
-the null space for degeneracy; tol defaults to 1e-10 times ``lam.norm``.  R
-represents L because every :class:`Superoperator` preserves Hermiticity,
-which is checked when it is built and not again here.  scipy is imported
-where it is used, so importing the package does not load it.
+Every :class:`Superoperator` holds the real generator R, which acts on
+:func:`qop.to_real` coordinates and has the eigenvalues of the complex
+Liouvillian L, so the solvers use ``lam.matrix`` as it is.  Propagators
+are ``expm`` of R; the Richardson error estimate of :func:`evolve` costs
+one more ``expm`` and is computed only when it is read.  Steady states
+come from shifted inverse iteration on R - tol*I with a two-vector block
+whose second Rayleigh quotient tests the null space for degeneracy; tol
+is 1e-10 times ``lam.norm``.  scipy is imported where it is used.
 """
 
 from __future__ import annotations
@@ -41,9 +37,9 @@ class EvolutionResult:
     """States on a time grid plus the error estimate of the largest
     propagator (one step against two half steps).
 
-    ``error_estimate`` is computed on first read and cached.  Until the
-    result is dropped it keeps the real generator and the largest step's
-    propagator, 2 * 8 * D^4 bytes.
+    ``error_estimate`` is computed on first read and cached.  The generator
+    is the one ``lam`` holds, so until the result is dropped its only extra
+    D^2 x D^2 array is the largest step's propagator, 8 * D^4 bytes.
     """
 
     times: np.ndarray
@@ -106,7 +102,7 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         raise ValueError("dimension mismatch between state and generator")
     import scipy.linalg
 
-    gen = _real_generator(lam.matrix)
+    gen = lam.matrix
     propagators: dict[float, np.ndarray] = {}
 
     def propagator(dt: float) -> np.ndarray:
@@ -118,14 +114,14 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         return propagators[dt]
 
     states = []
-    x = _to_real(rho0.matrix)
+    x = qop.to_real(rho0.matrix)
     prev_t = 0.0
     for t in times:
         dt = t - prev_t
         if dt > 0:
             x = propagator(dt) @ x
         prev_t = t
-        states.append(qop.validate_density(_from_real(x), tol=STATE_TOL))
+        states.append(qop.validate_density(qop.from_real(x), tol=STATE_TOL))
 
     dt_max = max(propagators, default=0.0)
     result = EvolutionResult(times, tuple(states), gen, dt_max, propagators.get(dt_max))
@@ -140,7 +136,8 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     """Unique null vector of the Liouvillian as a density matrix.
 
     One path at every D^2: shifted inverse iteration in real coordinates
-    with tolerance 1e-10 times ``lam.norm`` (a spectral-radius bound).  A
+    with tolerance 1e-10 times ``lam.norm``, the inf-norm of R (a
+    spectral-radius bound, since R has the eigenvalues of L).  A
     zero generator, no eigenvalue or two within tolerance of zero raise
     :class:`SteadyStateError`.  The state is Hermitian by construction
     and trace-normalized after the solve; its residual ||L rho|| is
@@ -152,14 +149,13 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
     tol = 1e-10 * lam.norm
-    gen = _real_generator(lam.matrix)
-    x, gap = _inverse_iteration(gen, tol)
-    rho = _from_real(x)
+    x, gap = _inverse_iteration(lam.matrix, tol)
+    rho = qop.from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
-    residual = float(np.linalg.norm(gen @ x)) / abs(tr)
+    residual = float(np.linalg.norm(lam.matrix @ x)) / abs(tr)
     _log.debug("steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e", d2, tol, residual, gap)
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
@@ -167,29 +163,6 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
         return qop.validate_density(rho, tol=PSD_TOL)
     except qop.DensityMatrixError as exc:
         raise SteadyStateError(f"steady state failed validation: {exc}") from exc
-
-
-def _to_real(rho: np.ndarray) -> np.ndarray:
-    """Real coordinates x = vec(Re rho - Im rho) of a Hermitian matrix;
-    ||x|| equals the Frobenius norm of rho."""
-    return qop.vec(rho.real - rho.imag)
-
-
-def _from_real(x: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_to_real`, Hermitian by construction."""
-    m = qop.unvec(x)
-    return (m + m.T) / 2.0 + 1j * ((m.T - m) / 2.0)
-
-
-def _real_generator(mat: np.ndarray) -> np.ndarray:
-    """Real matrix R = Re L - Im(L) P acting on :func:`_to_real` coordinates,
-    where P is the vec-transpose permutation: in the [col, row, col', row']
-    view of L, Im L with its last two axes swapped.  R represents L because
-    every :class:`Superoperator` preserves Hermiticity."""
-    d = int(round(np.sqrt(mat.shape[0])))
-    gen = np.array(mat.real)
-    gen.reshape(d, d, d, d)[...] -= mat.imag.reshape(d, d, d, d).transpose(0, 1, 3, 2)
-    return gen
 
 
 @functools.lru_cache(maxsize=8)
@@ -242,7 +215,7 @@ def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:
     """Full Liouvillian spectrum with eigenvalues grouped within tolerance."""
     import scipy.linalg
 
-    evals = scipy.linalg.eigvals(lam.matrix)
+    evals = scipy.linalg.eigvals(lam.matrix)  # R has the eigenvalues of L
     order = np.lexsort((evals.imag, evals.real))
     reps: list[complex] = []
     members: list[list[complex]] = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import factorial
+from math import lgamma
 
 import numpy as np
 
@@ -68,7 +68,8 @@ def average_negativity(rho) -> NegativityReport:
 @dataclass(frozen=True)
 class PoissonWeighting:
     """Renormalized truncated Poissonian over particle numbers
-    [n_min, n_max]; weights are proportional to exp(-lam) lam^n / n!."""
+    [n_min, n_max]; weights are proportional to lam^n / n!, normalized in
+    log space (exp(-lam) cancels), so no finite lam under- or overflows."""
 
     lam: float
     n_min: int
@@ -80,13 +81,10 @@ class PoissonWeighting:
             raise ValueError("need 0 <= n_min <= n_max")
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        raw = np.array(
-            [
-                np.exp(-self.lam) * self.lam**n / factorial(n)
-                for n in range(self.n_min, self.n_max + 1)
-            ]
-        )
-        w = raw / raw.sum()
+        ns = np.arange(self.n_min, self.n_max + 1)
+        log_raw = ns * np.log(self.lam) - np.array([lgamma(n + 1) for n in ns])
+        w = np.exp(log_raw - log_raw.max())
+        w /= w.sum()
         object.__setattr__(self, "weights", tuple(float(x) for x in w))
 
     def weight(self, n: int) -> float:

@@ -1,16 +1,16 @@
-"""Hamiltonians and Lindblad generators as vectorized superoperators.
+"""Hamiltonians and Lindblad generators as real superoperators.
 
-Every builder returns a :class:`Superoperator` acting on column-stacked
-density matrices, ``d/dt vec(rho) = L vec(rho)``; building one is the only
-check of the Lindblad contract the solvers rely on.  Spin Hamiltonians,
-one table row per kind, are written by bit arithmetic on the basis index;
-``-i[H, rho]`` is written by :func:`assemble` straight into the one
-D^2 x D^2 result, so that dissipators can be combined freely.  The
+Every builder writes the real generator R = Re L - Im(L) P of the
+column-stacked Liouvillian L (P the vec transpose), d/dt x = R x on
+x = :func:`qop.to_real` (rho), into a :class:`Superoperator`; building one is
+the only check of the Lindblad contract the solvers rely on.  Spin
+Hamiltonians, one table row per kind, are written by bit arithmetic on the
+basis index; ``-i[H, rho]`` is written by :func:`assemble` straight into the
+one D^2 x D^2 result, so that dissipators can be combined freely.  The
 single-qubit generators (local noise, dephasing, reset) are placed as 4x4
 blocks by vec-index arithmetic, in O(n 4^n) work.  The thermal part is a
 rank-D population transfer plus one-sided products with a D x D matrix,
-also written by vec-index arithmetic; its cost is one D^2 x D x D^2
-product.
+also written by vec-index arithmetic; its cost is one D^2 x D x D^2 product.
 """
 
 from __future__ import annotations
@@ -23,24 +23,23 @@ from resetlb import qop
 from resetlb.qop import left_right_superop, n_qubits_of
 
 TRACE_ROW_TOL = 1e-10
-HERMITICITY_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
-_SCALE_BYTES = 2**20  # |L| rows held at once while Superoperator takes norm and peak
+_SCALE_BYTES = 2**19  # |R| rows held at once while Superoperator takes norm and peak
 
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Dense D^2 x D^2 Liouvillian acting on column-stacked density matrices.
+    """Dense real D^2 x D^2 generator R on :func:`qop.to_real` coordinates;
+    any real R preserves Hermiticity.
 
-    Construction refuses non-finite entries, a skew of row (c, r) from the
-    conjugate of row (r, c) vec-transposed beyond ``HERMITICITY_TOL`` x
-    max|L| (Hermiticity), and trace-row entries beyond ``TRACE_ROW_TOL`` x
-    max(1, max|L|).  ``norm`` is the inf-norm (largest absolute row sum);
-    it and max|L| are taken over blocks of rows of about ``_SCALE_BYTES``,
-    so no D^2 x D^2 temporary is made.
+    Construction refuses a complex matrix, non-finite entries and trace-row
+    (the diagonal rows of R) sums beyond ``TRACE_ROW_TOL`` x max(1, max|R|).
+    ``norm`` is the inf-norm (largest absolute row sum); it and max|R| are
+    taken over blocks of rows of about ``_SCALE_BYTES``, so no D^2 x D^2
+    temporary is made.
 
-    Construction takes ownership of a complex128 ``matrix``: it is stored,
-    not copied, and made read-only; pass a copy to keep writing into it.
+    Construction takes ownership of a float64 ``matrix``: it is stored, not
+    copied, and made read-only; pass a copy to keep writing into it.
     """
 
     matrix: np.ndarray
@@ -48,7 +47,9 @@ class Superoperator:
     norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
+        if np.iscomplexobj(self.matrix):
+            raise ValueError("superoperator must be real: build R = Re L - Im(L) P, not L")
+        mat = np.asarray(self.matrix, dtype=float)
         d = 2**self.n_qubits
         if mat.shape != (d * d, d * d):
             raise ValueError(f"superoperator shape {mat.shape} does not match n={self.n_qubits}")
@@ -60,16 +61,6 @@ class Superoperator:
             if not np.isfinite(block_norm):
                 raise ValueError("superoperator has non-finite entries")
             norm, peak = max(norm, block_norm), max(peak, float(magnitude.max()))
-        # row (c, r) of the [c, r, c', r'] view against row (r, c), conjugated
-        # and vec-transposed, for r >= c0 over blocks of 64 // d values c >= c0:
-        # one pass when d <= 8, about half of L at larger d
-        blocks = mat.reshape(d, d, d, d)
-        step = max(1, 64 // d)
-        for c in range(0, d, step):
-            rows, partners = blocks[c : c + step, c:], blocks[c:, c : c + step]
-            skew = np.max(np.abs(rows - partners.transpose(1, 0, 3, 2).conj()))
-            if skew > HERMITICITY_TOL * peak:
-                raise ValueError(f"superoperator does not preserve Hermiticity (deviation {skew:.3e})")
         if np.max(np.abs(mat[:: d + 1].sum(axis=0))) > TRACE_ROW_TOL * max(1.0, peak):
             raise ValueError("superoperator is not trace preserving")
         mat.setflags(write=False)
@@ -81,8 +72,15 @@ class Superoperator:
         return 2**self.n_qubits
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Action on a density matrix, returned as a matrix."""
-        return qop.unvec(self.matrix @ qop.vec(rho))
+        """Action on a Hermitian ``rho``, as a matrix; R represents L on no other."""
+        _require_hermitian(rho, "rho")
+        return qop.from_real(self.matrix @ qop.to_real(rho))
+
+
+def _require_hermitian(mat: np.ndarray, what: str) -> None:
+    """Refuse ``mat`` when it departs from its adjoint by more than 1e-12 x max|mat|."""
+    if np.max(np.abs(mat - mat.conj().T)) > 1e-12 * np.max(np.abs(mat)):
+        raise ValueError(f"{what} must be Hermitian")
 
 
 # --- parameter records -----------------------------------------------------
@@ -245,8 +243,7 @@ def build_hamiltonian(spec: HamiltonianSpec, n: int) -> np.ndarray:
         h = np.array(spec.matrix, dtype=complex)
         if h.shape != (d, d):
             raise ValueError(f"custom Hamiltonian must be {d} x {d} for {n} qubits, got {h.shape}")
-        if np.max(np.abs(h - h.conj().T)) > 1e-12:
-            raise ValueError("custom Hamiltonian must be Hermitian")
+        _require_hermitian(h, "custom Hamiltonian")
         return h
     xx, yy, zz, x, z, tilt = _SPIN_KINDS[spec.kind][1](spec)
     idx = np.arange(d)
@@ -280,23 +277,27 @@ def dissipator(jump: np.ndarray, rate: float = 1.0) -> np.ndarray:
 
 
 def _embed_local(mat: np.ndarray, n: int, site: int, block: np.ndarray) -> None:
-    """Add a 4x4 single-qubit superoperator (indexed c*2 + r, as
-    :func:`dissipator` on 2x2 operators) at ``site`` of the n-qubit ``mat``.
+    """Add the real form of a 4x4 single-qubit superoperator l (indexed
+    c*2 + r, as :func:`dissipator` on 2x2 operators) at ``site`` of ``mat``.
 
     Vec index k = col*D + row carries the site's row bit at n-1-site and its
-    column bit at 2n-1-site; the block is diagonal in every other bit.
+    column bit at 2n-1-site; l is diagonal in every other bit.  Re l goes to
+    (idx, idx), -Im l to (idx, swap(idx)): the vec transpose swaps every site.
     """
     row_bit, col_bit = n - 1 - site, 2 * n - 1 - site
     k = np.arange(4**n)
     rest = k[(k & ((1 << row_bit) | (1 << col_bit))) == 0]
     local = np.array([(c << col_bit) | (r << row_bit) for c in (0, 1) for r in (0, 1)])
     idx = rest + local[:, None]
-    mat[idx[:, None, :], idx[None, :, :]] += block[:, :, None]
+    mat[idx[:, None, :], idx[None, :, :]] += block.real[:, :, None]
+    if block.imag.any():
+        swapped = (idx % 2**n) << n | idx >> n
+        mat[idx[:, None, :], swapped[None, :, :]] -= block.imag[:, :, None]
 
 
 # unit-rate decay, pumping and dephasing blocks: rate * block has the bits of
 # dissipator(jump, rate), so no build calls left_right_superop
-_NOISE_BLOCKS = tuple(dissipator(qop.PAULI[k]) for k in ("-", "+", "z"))
+_NOISE_BLOCKS = tuple(dissipator(qop.PAULI[k]).real for k in ("-", "+", "z"))
 
 
 def local_noise_generator(n: int, params: GasNoiseParams) -> Superoperator:
@@ -304,7 +305,7 @@ def local_noise_generator(n: int, params: GasNoiseParams) -> Superoperator:
     sigma_z dephasing (rate (2C-B)/4)."""
     rates = (params.B * (1 - params.s), params.B * params.s, (2 * params.C - params.B) / 4)
     blocks = [rate * block for rate, block in zip(rates, _NOISE_BLOCKS)]
-    mat = np.zeros((4**n, 4**n), dtype=complex)
+    mat = np.zeros((4**n, 4**n))
     for i in range(n):
         for block in blocks:
             _embed_local(mat, n, i, block)
@@ -328,7 +329,7 @@ def reset_generator(n: int, spec: ResetSpec) -> Superoperator:
     if len(spec.states) != n:
         raise ValueError(f"expected {n} reset states, got {len(spec.states)}")
     d2 = 4**n
-    mat = np.zeros((d2, d2), dtype=complex)
+    mat = np.zeros((d2, d2))
     for i, reset_state in enumerate(spec.states):
         _embed_local(mat, n, i, np.outer(qop.vec(reset_state), qop.vec(np.eye(2))))
         mat.reshape(-1)[:: d2 + 1] -= 1.0
@@ -372,8 +373,8 @@ def thermal_generator(
     absorption (E_a < E_b, weight N), summed over the per-qubit lowering
     operators sm_j; the spectral density is treated as constant.  The sum
     of rate[a, b] D[|b><a|] is the anticommutator -{K, rho}/2 with
-    K = V diag(out_rate) V+ plus the population transfer W rate^T W+,
-    where column b of W is vec(|b><b|).
+    K = V diag(out_rate) V+ plus the population transfer T rate^T T^T,
+    where column b of T is to_real(|b><b|).
 
     By default a Hamiltonian with an eigenvalue gap below
     ``_DEGENERACY_TOL`` x spectral radius is rejected.  With
@@ -405,7 +406,8 @@ def thermal_generator(
     rate = np.where(de > 0, gamma2 * (nbar + 1.0) * melem.T, gamma2 * nbar * melem)
     k_half = (vecs * (-0.5 * rate.sum(axis=1))) @ vecs.conj().T
     w = (vecs.conj()[:, None, :] * vecs[None, :, :]).reshape(-1, len(evals))
-    mat = (w @ rate.T) @ w.conj().T
+    t = w.real - w.imag
+    mat = (t @ rate.T) @ t.T
     _add_sides(mat, k_half, k_half)
     return Superoperator(mat, n)
 
@@ -419,27 +421,34 @@ def _lowering_elements(vecs: np.ndarray, j: int) -> np.ndarray:
 
 
 def _add_sides(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """Add vec(left rho + rho right) to ``mat`` in place: its 4-index view is
-    [col, row, col', row'], so ``left`` acts on rows and ``right`` on columns."""
+    """Add the real form of vec(left rho + rho right) to ``mat`` in place:
+    in its [col, row, col', row'] view ``left`` acts on rows, ``right`` on
+    columns, and the imaginary parts through the vec transpose (last two
+    axes swapped).  The last index pair is adjacent, so numpy keeps its axis
+    in place and the term needs [:, None, :]."""
     d = left.shape[0]
     blocks = mat.reshape(d, d, d, d)
     k = np.arange(d)
-    blocks[k, :, k, :] += left
-    blocks[:, k, :, k] += right.T
+    blocks[k, :, k, :] += left.real
+    blocks[:, k, :, k] += right.real.T
+    blocks[k, :, :, k] -= left.imag
+    blocks[:, k, k, :] -= right.imag.T[:, None, :]
 
 
 def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superoperator:
-    """Total Liouvillian -i[H, .] + sum of dissipative generators."""
+    """Total generator -i[H, .] + sum of dissipative generators; a
+    non-Hermitian H is refused."""
     gens = list(generators)
     if h is None and not gens:
         raise ValueError("nothing to assemble")
     if n is None:
         n = n_qubits_of(h.shape[0]) if h is not None else gens[0].n_qubits
     d = 2**n
-    mat = np.zeros((d * d, d * d), dtype=complex)
+    mat = np.zeros((d * d, d * d))
     if h is not None:
         if h.shape[0] != d:
             raise ValueError("Hamiltonian dimension mismatch")
+        _require_hermitian(h, "Hamiltonian")
         _add_sides(mat, -1j * h, 1j * h)
     for gen in gens:
         if gen.n_qubits != n:

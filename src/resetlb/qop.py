@@ -219,6 +219,17 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def to_real(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates vec(Re rho - Im rho) of a Hermitian rho, an isometry onto R^(D^2)."""
+    return vec(rho.real - rho.imag)
+
+
+def from_real(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`to_real`, Hermitian by construction."""
+    m = unvec(x)
+    return (m + m.T) / 2.0 + 1j * ((m.T - m) / 2.0)
+
+
 def left_right_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of rho -> a @ rho @ b under column-stacking vec."""
     return np.kron(b.T, a)

@@ -16,6 +16,7 @@ from resetlb.config import (
     build_liouvillian,
     gas_config,
     initial_state_from_config,
+    measures_weighting,
     parse_config,
     reset_spec_from_config,
 )
@@ -120,6 +121,16 @@ MALFORMED = {
     "spingas psi string": {"model": "spingas", "spingas": {"psi": "0.1"}},
     "spingas exchange_prob bool": {"model": "spingas", "spingas": {"exchange_prob": False}},
     "noise B beyond float range": gas_cfg_dict(noise={"B": 10**400, "C": 2.0, "s": 0.5}),
+    "custom matrix string": gas_cfg_dict(
+        hamiltonian={"kind": "custom", "matrix": [["1", 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]}
+    ),
+    "custom matrix bool": gas_cfg_dict(hamiltonian={"kind": "custom", "matrix": np.eye(4, dtype=bool).tolist()}),
+    "initial re string": gas_cfg_dict(
+        initial_state={"type": "matrix", "re": [["0.25", 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]}
+    ),
+    "initial im bool": gas_cfg_dict(
+        initial_state={"type": "matrix", "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4), dtype=bool).tolist()}
+    ),
     # keys a section does not read, never silently dropped, and custom matrices
     # that are not a Hermitian operator on n_qubits
     "reset state and states": gas_cfg_dict(reset={"r": 10.0, "state": "plus", "states": ["plus", "zero"]}),
@@ -255,6 +266,9 @@ def test_initial_state_forms():
     ):
         with pytest.raises(ConfigError, match="initial_state"):
             parse_config(gas_cfg_dict(initial_state=bad))
+    for rows in ([[0.25, 0, 0, 0]] * 3 + [[0.25, 0, 0]], [0.25, 0.25, 0.25, 0.25]):  # ragged, flat
+        with pytest.raises(ConfigError, match="equal-length lists"):
+            parse_config(gas_cfg_dict(initial_state={"type": "matrix", "re": rows}))
     mixed = {"type": "matrix", "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
     cfg = parse_config(gas_cfg_dict(initial_state=mixed))
     assert abs(initial_state_from_config(cfg).matrix[3, 3] - 0.25) < 1e-12
@@ -434,6 +448,15 @@ def test_cli_measures_and_guard(tmp_path):
     path = write_cfg(tmp_path, cfg, "big.json")
     assert main(["measures", "--config", path, "--out", out, "--no-timestamp", "--force-large"]) == 1
     assert main(["measures", "--config", path, "--out", out, "--no-timestamp"]) == 1
+
+
+def test_measures_large_lam_weights_are_finite():
+    """exp(-lam) underflows at lam = 800; the weights are normalized in log
+    space, so they stay finite and put the mass on n_max (ratio lam / n_max)."""
+    w = measures_weighting(parse_config(gas_cfg_dict(measures={"lam": 800, "n_min": 0, "n_max": 5})))
+    assert np.all(np.isfinite(w.weights))
+    assert abs(sum(w.weights) - 1.0) < 1e-12
+    assert w.weight(5) > 0.99
 
 
 @pytest.mark.parametrize("name", ["measures_gas.json", "measures_thermal.json"])

@@ -4,14 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import complex_form
 
-from resetlb import analytic, liouville
+from resetlb import analytic
 from resetlb.dynamics import (
     SteadyStateError,
-    _from_real,
     _inverse_iteration,
-    _real_generator,
-    _to_real,
     entangled_reset_window,
     entangling_profile,
     evolve,
@@ -33,7 +31,7 @@ from resetlb.liouville import (
     state_from_bloch,
     thermal_generator,
 )
-from resetlb.qop import ket, local_pauli, projector, random_density, unvec, validate_density, vec
+from resetlb.qop import from_real, ket, local_pauli, projector, random_density, to_real, unvec, validate_density, vec
 
 
 def dephasing_ising_reset(g, gamma, om, r):
@@ -48,7 +46,7 @@ def dephasing_ising_reset(g, gamma, om, r):
 
 
 def test_evolve_zero_generator_is_constant(rng):
-    lam = Superoperator(np.zeros((16, 16), dtype=complex), 2)
+    lam = Superoperator(np.zeros((16, 16)), 2)
     rho0 = validate_density(random_density(2, rng))
     res = evolve(lam, rho0, np.linspace(0, 3, 7))
     for state in res.states:
@@ -107,7 +105,7 @@ def test_error_estimate_is_computed_on_first_read(monkeypatch, caplog, rng):
     err = res.error_estimate
     assert len(calls) == 3
     assert res.error_estimate == err and len(calls) == 3
-    gen, dt = _real_generator(lam.matrix), 1.0 - 0.3
+    gen, dt = lam.matrix, 1.0 - 0.3
     half = scipy.linalg.expm(gen * (dt / 2.0))
     assert err == float(np.max(np.abs(half @ half - scipy.linalg.expm(gen * dt))))
 
@@ -191,7 +189,7 @@ def test_steady_xx_reset_one_matches_closed_form(rng):
 
 
 def test_steady_degenerate_null_space_raises():
-    lam = Superoperator(np.zeros((16, 16), dtype=complex), 2)
+    lam = Superoperator(np.zeros((16, 16)), 2)
     with pytest.raises(SteadyStateError, match="degenerate"):
         steady_state(lam)
 
@@ -200,7 +198,7 @@ def test_steady_missing_null_vector_raises():
     # an impossibly tight tolerance leaves no eigenvalue "at zero"
     lam = dephasing_ising_reset(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(SteadyStateError, match="no eigenvalue"):
-        _inverse_iteration(_real_generator(lam.matrix), 1e-30)
+        _inverse_iteration(lam.matrix, 1e-30)
 
 
 def test_steady_unitary_only_model_is_degenerate():
@@ -222,7 +220,7 @@ def test_inverse_iteration_path_matches_dense():
 
 
 def test_inverse_iteration_detects_degeneracy():
-    lam = Superoperator(np.zeros((16, 16), dtype=complex), 2)
+    lam = Superoperator(np.zeros((16, 16)), 2)
     with pytest.raises(SteadyStateError):
         steady_state(lam)
 
@@ -236,7 +234,7 @@ def test_inverse_iteration_detects_degeneracy_five_qubits():
 
 
 def test_steady_zero_generator_five_qubits_is_degenerate():
-    lam = Superoperator(np.zeros((1024, 1024), dtype=complex), 5)
+    lam = Superoperator(np.zeros((1024, 1024)), 5)
     with pytest.raises(SteadyStateError, match="degenerate null space"):
         steady_state(lam)
 
@@ -344,18 +342,20 @@ PAIRWISE = ("xyz", "thermal_merged")  # their Hamiltonians need two qubits
     "family,n", [(f, n) for f in FAMILIES for n in range(1, 5) if n > 1 or f not in PAIRWISE]
 )
 def test_real_coordinates_represent_the_generator(family, n, rng):
+    """to_real is an isometry with inverse from_real, and R acts on it as
+    the complex Liouvillian it represents acts on vec(rho)."""
     lam = generator_family(family, n, rng)
     rho = random_hermitian(2**n, rng)
-    x = _to_real(rho)
+    x = to_real(rho)
     assert x.dtype == float
     assert abs(np.linalg.norm(x) - np.linalg.norm(rho)) <= 1e-14 * np.linalg.norm(rho)
-    assert np.max(np.abs(_from_real(x) - rho)) <= 1e-15 * np.max(np.abs(rho))
-    image = _from_real(_real_generator(lam.matrix) @ x)
+    assert np.max(np.abs(from_real(x) - rho)) <= 1e-15 * np.max(np.abs(rho))
+    image = unvec(complex_form(lam.matrix) @ vec(rho))
     assert np.max(np.abs(image - lam.apply(rho))) <= 1e-12 * np.max(np.abs(lam.matrix))
 
 
-def complex_evolve(lam, rho0, times):
-    """Reference: evolve in complex vec coordinates, as before real
+def complex_evolve(liouvillian, rho0, times):
+    """Reference: evolve under the complex ``liouvillian`` in vec
     coordinates (cached propagators, hermitized states, Richardson check)."""
     propagators = {}
 
@@ -363,7 +363,7 @@ def complex_evolve(lam, rho0, times):
         for key in propagators:
             if abs(key - dt) <= 1e-12 * max(key, dt):
                 return propagators[key]
-        propagators[dt] = scipy.linalg.expm(lam.matrix * dt)
+        propagators[dt] = scipy.linalg.expm(liouvillian * dt)
         return propagators[dt]
 
     v, prev, states = vec(np.asarray(rho0.matrix)), 0.0, []
@@ -374,18 +374,17 @@ def complex_evolve(lam, rho0, times):
         mat = unvec(v)
         states.append((mat + mat.conj().T) / 2.0)
     dt_max = max(propagators)
-    half = scipy.linalg.expm(lam.matrix * (dt_max / 2.0))
+    half = scipy.linalg.expm(liouvillian * (dt_max / 2.0))
     return states, float(np.max(np.abs(half @ half - propagators[dt_max])))
 
 
-def complex_steady_state(lam):
-    """Reference: inverse iteration in complex vec coordinates, as before
-    real coordinates (same shift, complex random start vector)."""
-    mat = lam.matrix
+def complex_steady_state(mat):
+    """Reference: inverse iteration on the complex Liouvillian ``mat`` in vec
+    coordinates (shift from its own inf-norm, complex random start vector)."""
     d2 = mat.shape[0]
     tol = 1e-10 * np.max(np.abs(mat).sum(axis=1))
     rng = np.random.default_rng(0)
-    block = np.stack([vec(np.eye(lam.dim)) / np.sqrt(d2), rng.standard_normal(d2) + 1j * rng.standard_normal(d2)], 1)
+    block = np.stack([vec(np.eye(int(round(np.sqrt(d2))))) / np.sqrt(d2), rng.standard_normal(d2) + 1j * rng.standard_normal(d2)], 1)
     lu = scipy.linalg.lu_factor(mat - tol * np.eye(d2))
     for _ in range(3):
         block, _ = np.linalg.qr(scipy.linalg.lu_solve(lu, block))
@@ -399,7 +398,7 @@ def complex_steady_state(lam):
 def test_steady_state_matches_complex_path(n, rng):
     for family in FAMILIES:
         lam = generator_family(family, n, rng)
-        assert np.max(np.abs(steady_state(lam).matrix - complex_steady_state(lam))) < 1e-12, family
+        assert np.max(np.abs(steady_state(lam).matrix - complex_steady_state(complex_form(lam.matrix)))) < 1e-12, family
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -407,7 +406,7 @@ def test_evolve_matches_complex_path(n, rng):
     lam = generator_family("thermal", n, rng)
     rho0 = validate_density(random_density(n, rng))
     times = np.linspace(0.0, 1.0, 6)
-    want, _ = complex_evolve(lam, rho0, times)
+    want, _ = complex_evolve(complex_form(lam.matrix), rho0, times)
     got = evolve(lam, rho0, times).states
     assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got, want)) < 1e-12
 
@@ -425,7 +424,8 @@ def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
         finally:
             tracemalloc.stop()
 
-    (want, _), complex_peak = traced(lambda: complex_evolve(lam, rho0, times))
+    liouvillian = complex_form(lam.matrix)
+    (want, _), complex_peak = traced(lambda: complex_evolve(liouvillian, rho0, times))
     got, real_peak = traced(lambda: evolve(lam, rho0, times))
     assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got.states, want)) < 1e-12
     assert real_peak <= 0.75 * complex_peak
@@ -433,21 +433,19 @@ def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
 
 def test_non_hermiticity_preserving_generator_is_refused():
     """-i[H, .] with a non-Hermitian H is trace preserving but maps Hermitian
-    matrices to non-Hermitian ones; the real coordinates cannot represent
-    it, so it is refused as a Superoperator and no solver ever sees it."""
+    matrices to non-Hermitian ones; no real generator represents it, so
+    assembly refuses it and no solver ever sees it."""
     n = 2
     h = local_pauli(n, 0, "+") @ local_pauli(n, 1, "+") + local_pauli(n, 0, "x")
-    mat = np.array(reset_generator(n, ResetSpec.pure(1.0, n, "+")).matrix)
-    liouville._add_sides(mat, -1j * h, 1j * h)
-    with pytest.raises(ValueError, match="Hermiticity"):
-        Superoperator(mat, n)
+    with pytest.raises(ValueError, match="Hermitian"):
+        assemble(h, [reset_generator(n, ResetSpec.pure(1.0, n, "+"))])
 
 
 # --- spectrum ---------------------------------------------------------------------
 
 
 def test_spectrum_zero_generator():
-    lam = Superoperator(np.zeros((16, 16), dtype=complex), 2)
+    lam = Superoperator(np.zeros((16, 16)), 2)
     report = spectrum(lam)
     assert report.eigenvalues == (0j,)
     assert report.multiplicities == (16,)

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import complex_form, real_form
 from hypothesis import given, settings, strategies as st
 
 from resetlb import liouville, qop
@@ -376,7 +377,7 @@ def test_thermal_generator_equals_eigenbasis_kron_formula(kind, g, b, n, beta):
     h = build_hamiltonian(HamiltonianSpec(kind, g=g, b=b), n)
     params = ThermalBathParams(gamma=0.7, beta=beta)
     got = thermal_generator(h, params, merge_degenerate=n > 2).matrix
-    want = eigenbasis_thermal(h, 0.7, beta)
+    want = real_form(eigenbasis_thermal(h, 0.7, beta))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -440,7 +441,31 @@ def test_trace_row_of_assembled_liouvillian_vanishes():
 
 def test_non_trace_preserving_matrix_rejected():
     with pytest.raises(ValueError):
-        Superoperator(np.eye(16, dtype=complex), 2)
+        Superoperator(np.eye(16), 2)
+
+
+def test_hermiticity_checks_are_relative_to_the_matrix_scale():
+    """assemble and the custom-Hamiltonian build refuse a skew beyond 1e-12
+    x max|H| and accept one within it, at any scale of H."""
+    n = 2
+    for scale in (1e-6, 1.0, 1e6):
+        h = scale * (local_pauli(n, 0, "x") + local_pauli(n, 1, "y"))
+        for skew, refused in ((1e-11, True), (1e-13, False)):
+            bad = h + skew * scale * 1j * np.eye(4)
+            for build in (lambda: assemble(bad, []), lambda: build_hamiltonian(HamiltonianSpec("custom", matrix=bad), n)):
+                if refused:
+                    with pytest.raises(ValueError, match="Hermitian"):
+                        build()
+                else:
+                    build()
+
+
+def test_apply_refuses_non_hermitian_input(rng):
+    lam = gas_generator(2)
+    rho = random_density(2, rng)
+    lam.apply(rho)
+    with pytest.raises(ValueError, match="Hermitian"):
+        lam.apply(rho + 1e-9j * np.eye(4))
 
 
 
@@ -508,9 +533,9 @@ def kron_reset(n, spec):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_single_qubit_generators_equal_kron_sandwiches(n):
     spec = ResetSpec(1.9, RESET_STATES[:n])
-    assert np.array_equal(local_noise_generator(n, NOISE).matrix, kron_noise(n, NOISE))
-    assert np.array_equal(dephasing_generator(n, 0.61).matrix, kron_dephasing(n, 0.61))
-    assert np.array_equal(reset_generator(n, spec).matrix, kron_reset(n, spec))
+    assert np.array_equal(local_noise_generator(n, NOISE).matrix, real_form(kron_noise(n, NOISE)))
+    assert np.array_equal(dephasing_generator(n, 0.61).matrix, real_form(kron_dephasing(n, 0.61)))
+    assert np.array_equal(reset_generator(n, spec).matrix, real_form(kron_reset(n, spec)))
 
 
 def test_generator_builds_call_no_left_right_superop(monkeypatch):
@@ -532,13 +557,17 @@ def test_generator_builds_call_no_left_right_superop(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_assembled_liouvillian_matches_column_by_column_oracle(n):
+    """Column k of R is the master equation applied to the Hermitian matrix
+    with real coordinates e_k; the reset state with a y-component on qubit 2
+    takes the vec-transposed placement."""
     h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n)
     spec = ResetSpec(1.9, RESET_STATES[:n])
+    assert np.any(spec.states[2].imag)
     lam = assemble(h, [local_noise_generator(n, NOISE), reset_generator(n, spec)])
     d2 = 4**n
-    want = np.empty((d2, d2), dtype=complex)
+    want = np.empty((d2, d2))
     for k, unit in enumerate(np.eye(d2)):
-        want[:, k] = qop.vec(apply_master_equation(qop.unvec(unit), h, NOISE, spec, n))
+        want[:, k] = qop.to_real(apply_master_equation(qop.from_real(unit), h, NOISE, spec, n))
     assert np.max(np.abs(lam.matrix - want)) < 1e-12
 
 
@@ -561,7 +590,7 @@ def test_assemble_commutator_equals_kron_formula(n):
     h = build_hamiltonian(HamiltonianSpec("xyz", g=1.1, omega=0.7), n) if n > 1 else 0.3 * qop.PAULI["y"]
     eye = np.eye(2**n)
     want = -1j * (qop.left_right_superop(h, eye) - qop.left_right_superop(eye, h))
-    assert np.array_equal(assemble(h, []).matrix, want)
+    assert np.array_equal(assemble(h, []).matrix, real_form(want))
 
 
 def test_five_qubit_assembly_peak_memory():
@@ -591,10 +620,12 @@ def gas_generator(n):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
 def test_non_finite_entries_rejected(bad):
-    mat = np.array(gas_generator(2).matrix)
+    """A non-finite entry of L, in its real or its imaginary part, is a
+    non-finite entry of R."""
+    mat = complex_form(gas_generator(2).matrix)
     mat[5, 9] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        Superoperator(mat, 2)
+        Superoperator(real_form(mat), 2)
 
 
 def test_superoperator_scale_needs_no_full_temporary():
@@ -617,33 +648,25 @@ def test_superoperator_scale_needs_no_full_temporary():
         Superoperator(mat, 5)
 
 
-# [c, r, c', r'] entries: a row with c = r, a row with c != r, and its partner
-def test_superoperator_takes_ownership_of_a_complex_array():
-    """A complex128 matrix is stored as given and frozen, not copied; any
-    other dtype is converted into a new array and the caller's stays writable."""
-    mat = np.zeros((16, 16), dtype=complex)
+def test_superoperator_takes_ownership_of_a_float64_array():
+    """A float64 matrix is stored as given and frozen, not copied; any
+    other real dtype is converted into a new array and the caller's stays
+    writable, and a complex matrix is refused."""
+    mat = np.zeros((16, 16))
     lam = Superoperator(mat, 2)
     assert lam.matrix is mat and not mat.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         mat[0, 0] = 1.0
-    real = np.zeros((16, 16))
-    assert Superoperator(real, 2).matrix is not real and real.flags.writeable
+    single = np.zeros((16, 16), dtype=np.float32)
+    assert Superoperator(single, 2).matrix is not single and single.flags.writeable
 
 
-# (r, c, r', c'); each must equal the conjugate of its partner
-@pytest.mark.parametrize("entry", [(1, 1, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1), (3, 2, 0, 3)])
-@pytest.mark.parametrize("n", [2, 3])
-def test_single_entry_hermiticity_skew_rejected(entry, n):
-    lam = gas_generator(n)
-    mat = np.array(lam.matrix)
-    view = mat.reshape((2**n,) * 4)
-    view[entry] += 1e-8 * np.max(np.abs(mat)) * (1 + 1j)
-    with pytest.raises(ValueError, match="Hermiticity"):
-        Superoperator(mat, n)
-    # a skew well inside the tolerance passes
-    mat = np.array(lam.matrix)
-    mat.reshape((2**n,) * 4)[entry] += 1e-13 * np.max(np.abs(mat)) * 1j
-    Superoperator(mat, n)
+def test_superoperator_refuses_a_complex_matrix():
+    """Even a complex matrix with zero imaginary part is refused: the
+    builders write R, never L."""
+    for mat in (np.zeros((16, 16), dtype=complex), real_form(dissipator(local_pauli(2, 0, "-"))) + 0j):
+        with pytest.raises(ValueError, match="must be real"):
+            Superoperator(mat, 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
