@@ -139,7 +139,6 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
             lam = build_liouvillian(point)
             rho0 = initial_state_from_config(point)
         try:
-            # keep only the states: the result holds a propagator until dropped
             states = evolve(lam, rho0, times).states
         except (qop.DensityMatrixError, ValueError) as exc:
             raise SolverError(f"evolution failed at {overrides}: {exc}") from exc

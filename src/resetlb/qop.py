@@ -57,8 +57,9 @@ def n_qubits_of(dim: int) -> int:
 class DensityMatrix:
     """Validated n-qubit density matrix.
 
-    Construction checks Hermiticity, unit trace and positivity within
-    ``tol`` (absolute); use :func:`validate_density` for a detailed error.
+    Construction checks finite entries, Hermiticity, unit trace and
+    positivity within ``tol`` (absolute); use :func:`validate_density`
+    for a detailed error.
     """
 
     matrix: np.ndarray
@@ -83,6 +84,9 @@ def _check_density(mat: np.ndarray, tol: float) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DensityMatrixError("not a square matrix", float("nan"), tol)
     n_qubits_of(mat.shape[0])
+    if not np.all(np.isfinite(mat)):
+        # every comparison below is False for NaN
+        raise DensityMatrixError("non-finite entries", float("nan"), tol)
     herm = np.max(np.abs(mat - mat.conj().T))
     if herm > tol:
         raise DensityMatrixError("not Hermitian", float(herm), tol)

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 from conftest import complex_form
 
 from resetlb import analytic
@@ -62,6 +64,9 @@ def test_evolve_input_validation(rng):
         evolve(lam, rho0, [-1.0, 0.5])
     with pytest.raises(ValueError):
         evolve(lam, validate_density(random_density(1, rng)), [0.0, 1.0])
+    for grid in ([0.0, np.nan], [np.nan, 1.0], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(lam, rho0, grid)
 
 
 def test_evolve_nonuniform_grid_consistent(rng):
@@ -82,32 +87,37 @@ def test_evolve_logs_steps_and_error_estimate(caplog, rng):
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
     d2, steps, err = record.args
-    assert (d2, steps) == (16, 2)  # 0.3 and 0.7 (twice, up to grid jitter)
+    assert (d2, steps) == (16, 2)  # runs of equal steps: 0.3 once, 0.7 twice
     assert err == res.error_estimate
     assert "error_estimate" in record.getMessage()
 
 
-def counting_expm(monkeypatch) -> list:
-    """Wrap scipy.linalg.expm; the returned list grows by one per call."""
-    calls, expm = [], scipy.linalg.expm
-    monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a.shape) or expm(a))
+def counting_expm_multiply(monkeypatch) -> list:
+    """Wrap scipy.sparse.linalg.expm_multiply; the returned list grows by
+    one per call."""
+    calls, action = [], scipy.sparse.linalg.expm_multiply
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **kw: calls.append(kw) or action(*a, **kw))
     return calls
 
 
 def test_error_estimate_is_computed_on_first_read(monkeypatch, caplog, rng):
-    """Below DEBUG, evolve takes one exponential per distinct step; the
-    half-step one runs on the first read of ``error_estimate`` and is cached."""
+    """Below DEBUG, evolve makes one action call per run of equal steps; the
+    estimate's calls run on the first read of ``error_estimate`` only."""
     caplog.set_level(logging.INFO, logger="resetlb.dynamics")
     lam = dephasing_ising_reset(2.0, 1.0, 1.5, 3.0)
-    calls = counting_expm(monkeypatch)
-    res = evolve(lam, validate_density(random_density(2, rng)), [0.0, 0.3, 0.3, 1.0, 1.7])
-    assert len(calls) == 2  # 0.3 and 0.7
+    rho0 = validate_density(random_density(2, rng))
+    calls = counting_expm_multiply(monkeypatch)
+    res = evolve(lam, rho0, [0.0, 0.3, 0.3, 1.0, 1.7])
+    assert len(calls) == 2  # 0.3 once, 0.7 twice
     err = res.error_estimate
-    assert len(calls) == 3
-    assert res.error_estimate == err and len(calls) == 3
-    gen, dt = lam.matrix, 1.0 - 0.3
-    half = scipy.linalg.expm(gen * (dt / 2.0))
-    assert err == float(np.max(np.abs(half @ half - scipy.linalg.expm(gen * dt))))
+    assert len(calls) == 5  # the largest step and its two halves
+    assert res.error_estimate == err and len(calls) == 5
+    # eager recomputation: the largest step, 0.7, starts from the state at 0.3
+    gen, dt = scipy.sparse.csr_array(lam.matrix), 1.0 - 0.3
+    x = scipy.sparse.linalg.expm_multiply(gen, to_real(rho0.matrix), start=0.0, stop=0.3, num=2)[-1]
+    half = gen * (dt / 2.0)
+    twice = scipy.sparse.linalg.expm_multiply(half, scipy.sparse.linalg.expm_multiply(half, x))
+    assert err == float(np.max(np.abs(twice - scipy.sparse.linalg.expm_multiply(gen * dt, x))))
 
 
 def test_evolve_trace_stays_one(rng):
@@ -429,6 +439,92 @@ def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
     got, real_peak = traced(lambda: evolve(lam, rho0, times))
     assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got.states, want)) < 1e-12
     assert real_peak <= 0.75 * complex_peak
+
+
+# --- action of the exponential ----------------------------------------------------
+
+
+def dense_evolve(gen, rho0, times):
+    """Reference: dense ``scipy.linalg.expm`` propagators of R, one per
+    distinct step (ulp-level grid jitter snapped onto a cached step),
+    applied one step at a time."""
+    propagators = {}
+
+    def propagator(dt):
+        for key in propagators:
+            if abs(key - dt) <= 1e-12 * max(key, dt):
+                return propagators[key]
+        propagators[dt] = scipy.linalg.expm(gen * dt)
+        return propagators[dt]
+
+    x, prev, states = to_real(rho0.matrix), 0.0, []
+    for t in times:
+        if t > prev:
+            x = propagator(t - prev) @ x
+        prev = t
+        states.append(from_real(x))
+    return states
+
+
+def action_family(name, n, rng):
+    """Generators of the action tests: the gas model with the physics of the
+    perfbench evolve5q workload, the zero generator, and two of
+    :func:`generator_family`: a merged thermal bath (dense R) and a random
+    custom H under a thermal bath."""
+    if name == "evolve5q":
+        h = build_hamiltonian(HamiltonianSpec("ising", g=10.0, omega=20.0), n)
+        gens = [local_noise_generator(n, GasNoiseParams(1.0, 1.0, 0.1)), reset_generator(n, ResetSpec.pure(10.0, n, "+"))]
+        return assemble(h, gens, n=n)
+    if name == "zero":
+        return Superoperator(np.zeros((4**n, 4**n)), n)
+    return generator_family(name, n, rng)
+
+
+ACTION_GRIDS = {
+    "uniform": np.linspace(0.0, 1.0, 6),
+    "irregular_repeated": np.array([0.0, 0.3, 0.3, 1.0, 1.7, 2.0, 2.4]),  # steps 0.7, 0.7, 0.3, 0.4
+    "first_time_positive": np.array([0.25, 0.5, 0.75, 1.5]),
+    "horizon_80": np.array([0.0, 80.0]),  # verify's spectrum_stability
+}
+
+
+ACTION_CASES = [
+    (family, n, grid)
+    for family in ("evolve5q", "thermal_merged", "thermal", "zero")
+    for n in (2, 3, 4, 5)
+    for grid in ACTION_GRIDS
+    # at n = 5 a random H adds nothing that the merged thermal R does not
+    # cover, and the horizon on that dense R alone takes seconds
+    if n < 5 or family in ("evolve5q", "zero") or (family == "thermal_merged" and grid != "horizon_80")
+]
+
+
+@pytest.mark.parametrize("family,n,grid", ACTION_CASES)
+def test_evolve_matches_dense_propagators(family, n, grid, rng):
+    lam = action_family(family, n, rng)
+    rho0 = validate_density(random_density(n, rng))
+    times = ACTION_GRIDS[grid]
+    got = evolve(lam, rho0, times).states
+    want = dense_evolve(lam.matrix, rho0, times)
+    assert len(got) == times.size
+    assert max(np.max(np.abs(g.matrix - w)) for g, w in zip(got, want)) < 1e-12
+
+
+def test_evolve_five_qubits_allocates_a_fraction_of_the_generator(rng):
+    """On evolve5q's 101-point grid the action needs, beside the states it
+    returns, products with a sparse copy of R only: no dense propagator or
+    expm workspace, each several times R."""
+    lam = action_family("evolve5q", 5, rng)
+    rho0 = validate_density(projector(ket("+" * 5)))
+    evolve(lam, rho0, [0.0, 0.1])  # the first call imports scipy.sparse
+    tracemalloc.start()
+    try:
+        res = evolve(lam, rho0, np.linspace(0.0, 1.3, 101))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    returned = sum(state.matrix.nbytes for state in res.states)
+    assert peak - returned < 0.25 * lam.matrix.nbytes
 
 
 def test_non_hermiticity_preserving_generator_is_refused():

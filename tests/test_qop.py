@@ -163,6 +163,23 @@ def test_validate_density_rejects_bad_trace_and_nonhermitian():
     assert "Hermitian" in err.value.violation
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.full((2, 2), np.nan),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+        np.diag([0.5, 0.5, 0.0, complex(0.0, -np.inf)]),
+    ],
+    ids=["all-nan", "nan-coherence", "inf-coherence", "inf-imaginary"],
+)
+def test_validate_density_rejects_non_finite_entries(mat):
+    # every comparison with NaN is False, so no later check would catch it
+    with pytest.raises(DensityMatrixError) as err:
+        validate_density(mat)
+    assert err.value.violation == "non-finite entries"
+
+
 def test_validate_density_thermal_product_diagonal():
     s = 0.3
     mat = np.diag([s**2, s * (1 - s), s * (1 - s), (1 - s) ** 2]).astype(complex)
