@@ -38,7 +38,6 @@ from resetlb.config import (
 from resetlb.dynamics import SteadyStateError, evolve, spectrum, steady_state
 from resetlb.entanglement import (
     average_negativity,
-    negativity,
     negativity_of_average_reduction,
     poisson_average_negativity,
     poisson_reduced_negativity,
@@ -89,12 +88,6 @@ def _at_point(overrides: dict):
         raise ConfigError(f"{exc} at {point}") from exc
 
 
-def _pair_negativity(state: qop.DensityMatrix) -> float:
-    if state.n_qubits == 2:
-        return negativity(state, (0,))
-    return average_negativity(state).average
-
-
 def cmd_steady(cfg: ExperimentConfig, args) -> int:
     points, params = _sweep_points(cfg)
 
@@ -107,10 +100,8 @@ def cmd_steady(cfg: ExperimentConfig, args) -> int:
         except (SteadyStateError, qop.DensityMatrixError) as exc:
             raise SolverError(f"steady-state solve failed at {overrides}: {exc}") from exc
     columns = params + ["negativity"]
-    rows = [
-        [overrides[p] for p in params] + [_pair_negativity(state)]
-        for overrides, state in zip(points, states)
-    ]
+    negs = average_negativity(np.stack([state.matrix for state in states])).average
+    rows = [[overrides[p] for p in params] + [neg] for overrides, neg in zip(points, negs)]
     _write_csv(args.out, cfg, "steady", columns, rows, args.no_timestamp)
     if args.dump_states:
         dump = [
@@ -142,12 +133,12 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
             states = evolve(lam, rho0, times).states
         except (qop.DensityMatrixError, ValueError) as exc:
             raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
+        mats = np.stack([state.matrix for state in states])
+        negs = average_negativity(mats).average
+        traces = np.trace(mats, axis1=-2, axis2=-1).real
+        min_evals = np.linalg.eigvalsh(mats)[:, 0]
         swept = [overrides[p] for p in params]
-        for t, state in zip(times, states):
-            evals = np.linalg.eigvalsh(state.matrix)
-            rows.append(
-                swept + [t, _pair_negativity(state), float(np.trace(state.matrix).real), float(evals[0])]
-            )
+        rows.extend(swept + list(row) for row in zip(times, negs, traces, min_evals))
     columns = params + ["t", "negativity", "trace", "min_eigenvalue"]
     _write_csv(args.out, cfg, "evolve", columns, rows, args.no_timestamp)
     return 0

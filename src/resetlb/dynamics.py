@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from resetlb import qop
+from resetlb.entanglement import negativity
 from resetlb.liouville import Superoperator
 
 _log = logging.getLogger(__name__)
@@ -64,9 +65,7 @@ class EvolutionResult:
         return float(np.max(np.abs(twice - expm_multiply(self._gen * self._dt_max, self._start))))
 
     def negativities(self, part=(0,)) -> np.ndarray:
-        from resetlb.entanglement import negativity
-
-        return np.array([negativity(st, part) for st in self.states])
+        return negativity(np.stack([st.matrix for st in self.states]), part)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Negativity-based entanglement measures, including multipartite averages
-over bipartitions and Poisson-weighted particle-number fluctuations."""
+over bipartitions and Poisson-weighted particle-number fluctuations.
+:func:`negativity` and :func:`average_negativity` take one state ``(D, D)``
+or a stack ``(..., D, D)``, each state with the bits it gives alone."""
 
 from __future__ import annotations
 
@@ -16,18 +18,22 @@ def _as_matrix(rho) -> np.ndarray:
     return np.asarray(rho.matrix if isinstance(rho, qop.DensityMatrix) else rho)
 
 
-def negativity(rho, part) -> float:
+def _float_or_array(x):
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def negativity(rho, part) -> float | np.ndarray:
     """N_A = sum of |negative eigenvalues| of the partial transpose.
 
     Equals (||rho^T_A||_1 - 1)/2 for unit-trace states; bounded by
-    (2^min(|A|, |complement|) - 1)/2.
+    (2^min(|A|, |complement|) - 1)/2.  A float for one state, an array
+    over the leading axes for a stack.
     """
-    mat = _as_matrix(rho)
-    n = qop.n_qubits_of(mat.shape[0])
-    subset = qop.normalize_bipartition(part, n)
-    pt = qop.partial_transpose(mat, subset, n)
-    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
-    return float(np.sum(np.abs(evals[evals < 0])))
+    pt = qop.partial_transpose(_as_matrix(rho), part)
+    evals = np.linalg.eigvalsh((pt + np.swapaxes(pt.conj(), -1, -2)) / 2.0)
+    # a masked sum adds each state's negative eigenvalues alone, as a sum
+    # over evals[evals < 0] does, so a stack keeps every state's bits
+    return _float_or_array(np.sum(np.abs(evals), axis=-1, where=evals < 0))
 
 
 def bipartitions(n: int) -> list[tuple[int, ...]]:
@@ -45,22 +51,24 @@ def bipartitions(n: int) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class NegativityReport:
-    """Per-bipartition negativities and their mean."""
+    """Per-bipartition negativities and their mean: floats for one state,
+    arrays over the leading axes for a stack."""
 
-    per_bipartition: dict[tuple[int, ...], float]
-    average: float
+    per_bipartition: dict[tuple[int, ...], float | np.ndarray]
+    average: float | np.ndarray
     bipartition_count: int
 
 
 def average_negativity(rho) -> NegativityReport:
-    """Negativity averaged over every bipartition of the qubit set."""
+    """Negativity averaged over every bipartition of the qubit set, for one
+    state or a stack; one :func:`negativity` call per bipartition."""
     mat = _as_matrix(rho)
-    n = qop.n_qubits_of(mat.shape[0])
-    parts = bipartitions(n)
-    values = {p: negativity(mat, p) for p in parts}
+    parts = bipartitions(qop.n_qubits_of(mat.shape[-1]))
+    values = [negativity(mat, p) for p in parts]
     return NegativityReport(
-        per_bipartition=values,
-        average=float(np.mean(list(values.values()))),
+        per_bipartition=dict(zip(parts, values)),
+        # the mean over a contiguous last axis, as over a list of floats
+        average=_float_or_array(np.mean(np.stack(values, axis=-1), axis=-1)),
         bipartition_count=len(parts),
     )
 

@@ -46,11 +46,10 @@ class DensityMatrixError(ValueError):
 
 
 def n_qubits_of(dim: int) -> int:
-    """Number of qubits for a Hilbert-space dimension that must be 2**n."""
-    n = int(round(np.log2(dim)))
-    if 2**n != dim or dim < 2:
+    """Number of qubits for a Hilbert-space dimension that must be 2**n, n >= 1."""
+    if dim < 2 or dim & (dim - 1):
         raise ValueError(f"dimension {dim} is not a power of two")
-    return n
+    return int(dim).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,10 @@ class DensityMatrix:
 def _check_density(mat: np.ndarray, tol: float) -> None:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DensityMatrixError("not a square matrix", float("nan"), tol)
-    n_qubits_of(mat.shape[0])
+    try:
+        n_qubits_of(mat.shape[0])
+    except ValueError:
+        raise DensityMatrixError("dimension is not a power of two", float("nan"), tol) from None
     if not np.all(np.isfinite(mat)):
         # every comparison below is False for NaN
         raise DensityMatrixError("non-finite entries", float("nan"), tol)
@@ -165,15 +167,16 @@ def partial_trace(rho: np.ndarray, keep, n: int | None = None) -> np.ndarray:
 
 
 def partial_transpose(rho: np.ndarray, part, n: int | None = None) -> np.ndarray:
-    """Transpose the qubits in ``part`` (row/column index swap on those axes)."""
+    """Transpose the qubits in ``part`` (row/column index swap on those axes)
+    of one state ``(D, D)`` or of every state of a stack ``(..., D, D)``."""
+    d, lead = rho.shape[-1], rho.shape[:-2]
     if n is None:
-        n = n_qubits_of(rho.shape[0])
-    part = normalize_bipartition(part, n)
-    axes = list(range(2 * n))
-    for q in part:
-        axes[q], axes[q + n] = axes[q + n], axes[q]
-    d = rho.shape[0]
-    return rho.reshape((2,) * (2 * n)).transpose(axes).reshape(d, d)
+        n = n_qubits_of(d)
+    k = len(lead)
+    axes = list(range(k + 2 * n))
+    for q in normalize_bipartition(part, n):
+        axes[k + q], axes[k + q + n] = axes[k + q + n], axes[k + q]
+    return rho.reshape(lead + (2,) * (2 * n)).transpose(axes).reshape(lead + (d, d))
 
 
 def normalize_bipartition(part, n: int) -> tuple[int, ...]:

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from resetlb import qop
+from resetlb.entanglement import negativity
 
 LAZY_STAY_PROB = 0.2
 COMPLEX_ESCAPE_PROB = 0.02
@@ -131,32 +132,36 @@ class PhaseMatrix:
 class SpinGasState:
     """Mutable per-run simulation state.
 
-    ``positions`` has one row per physical particle slot: slots 0 and 1
-    hold the current system qubits (``system_ids`` maps them to qubit ids
-    in the phase matrix), the rest are environment particles with fixed
-    qubit ids 2 .. n_env + 1.
+    ``sites`` holds the flat site ``row * cols + col`` of each physical
+    particle slot: slots 0 and 1 hold the current system qubits
+    (``system_ids`` maps them to qubit ids in the phase matrix), the rest
+    are environment particles with fixed qubit ids 2 .. n_env + 1.
     """
 
     config: GasConfig
     pm: PhaseMatrix
-    positions: np.ndarray
+    sites: np.ndarray
     system_ids: list[int]
+
+
+def _initial_sites(config: GasConfig, rng: np.random.Generator) -> np.ndarray:
+    """Flat sites of a fresh gas: the system qubits on (0, 0) and (0, 1),
+    each environment particle on a uniform site from ``n_env * 2`` uniforms."""
+    rows, cols = config.lattice
+    site = np.zeros(config.n_particles, dtype=np.intp)
+    site[1] = 1
+    if config.n_env:
+        u = rng.random((config.n_env, 2))
+        site[2:] = np.floor(u[:, 0] * rows).astype(np.intp) * cols + np.floor(u[:, 1] * cols).astype(np.intp)
+    return site
 
 
 def new_state(config: GasConfig, rng: np.random.Generator) -> SpinGasState:
     """Fresh gas: system qubits on adjacent sites, environment uniform."""
-    rows, cols = config.lattice
-    pos = np.zeros((config.n_particles, 2), dtype=np.int64)
-    pos[0] = (0, 0)
-    pos[1] = (0, 1 % cols)
-    if config.n_env:
-        u = rng.random((config.n_env, 2))
-        pos[2:, 0] = np.floor(u[:, 0] * rows).astype(np.int64)
-        pos[2:, 1] = np.floor(u[:, 1] * cols).astype(np.int64)
     return SpinGasState(
         config=config,
         pm=PhaseMatrix(config.n_particles),
-        positions=pos,
+        sites=_initial_sites(config, rng),
         system_ids=[0, 1],
     )
 
@@ -218,16 +223,13 @@ def _move_sites(site: np.ndarray, free: np.ndarray, stuck: np.ndarray, nbr: np.n
 def step(state: SpinGasState, rng: np.random.Generator) -> SpinGasState:
     """One time step: moves, pairwise collision phases, then exchanges."""
     cfg = state.config
-    _, cols = cfg.lattice
     u = rng.random(cfg.n_particles + 2)
     free, stuck = _move_codes(u[None, : cfg.n_particles])
-    site = state.positions[:, 0] * cols + state.positions[:, 1]
-    site = _move_sites(site[None], free, stuck, _neighbour_table(cfg.lattice))[0]
-    state.positions[:, 0], state.positions[:, 1] = np.divmod(site, cols)
+    state.sites = _move_sites(state.sites[None], free, stuck, _neighbour_table(cfg.lattice))[0]
     slot_qubit = state.system_ids + list(range(2, cfg.n_particles))
     for a in range(cfg.n_particles):
         for b in range(a + 1, cfg.n_particles):
-            if site[a] != site[b]:
+            if state.sites[a] != state.sites[b]:
                 continue
             both_system = a < 2 and b < 2
             state.pm.add_phase(
@@ -319,8 +321,6 @@ def run_ensembles(configs, n_runs: int) -> list[EnsembleResult]:
     Per-point arithmetic is that of a single call, so each result is
     bit-identical to ``run_ensemble(config, n_runs)``.
     """
-    from resetlb.entanglement import negativity as _neg
-
     if n_runs < 1:
         raise ValueError("need at least one run")
     configs = list(configs)
@@ -331,7 +331,7 @@ def run_ensembles(configs, n_runs: int) -> list[EnsembleResult]:
     for members in groups.values():
         for i, rho_runs in zip(members, _compact_ensemble([configs[i] for i in members], n_runs)):
             state = qop.validate_density(rho_runs.mean(axis=0), tol=1e-9)
-            results[i] = EnsembleResult(mean_state=state, negativity=_neg(state, (0,)), per_run=rho_runs)
+            results[i] = EnsembleResult(mean_state=state, negativity=negativity(state, (0,)), per_run=rho_runs)
     return [results[i] for i in range(len(configs))]
 
 
@@ -350,20 +350,9 @@ def _trajectories(config: GasConfig, n_runs: int):
     after the move (runs, n_particles) and the step's two exchange uniforms
     (2, runs).  Uniforms are drawn per run in chunks of ``_chunk_steps``
     steps, and the buffers go with the generator once it is exhausted."""
-    rows, cols = config.lattice
     n_p = config.n_particles
-    rngs = []
-    site = np.zeros((n_runs, n_p), dtype=np.intp)
-    site[:, 1] = 1 % cols
-    for rid, ss in enumerate(np.random.SeedSequence(config.seed).spawn(n_runs)):
-        rng = np.random.Generator(np.random.PCG64(ss))
-        if config.n_env:
-            u0 = rng.random((config.n_env, 2))
-            site[rid, 2:] = (
-                np.floor(u0[:, 0] * rows).astype(np.intp) * cols
-                + np.floor(u0[:, 1] * cols).astype(np.intp)
-            )
-        rngs.append(rng)
+    rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(config.seed).spawn(n_runs)]
+    site = np.array([_initial_sites(config, rng) for rng in rngs])
 
     nbr = _neighbour_table(config.lattice)
     chunk = _chunk_steps(n_runs, n_p)
@@ -468,15 +457,21 @@ def _compact_reduced(theta, env, damp) -> np.ndarray:
 
 
 def bootstrap_stderr(per_run: np.ndarray, n_boot: int = 200, seed: int = 0) -> float:
-    """Run-level bootstrap standard error of the negativity of the mean."""
-    from resetlb.entanglement import negativity as _neg
+    """Run-level bootstrap standard error of the negativity of the mean.
 
+    Row k of one ``(n_boot, n_runs)`` draw is resample k, the indices that
+    ``n_boot`` draws of ``n_runs`` would give in turn.  Each resample adds
+    its runs in draw order, as the mean of a gathered resample does, but
+    only ``n_boot`` pair matrices are held at once.
+    """
+    if n_boot < 2:
+        raise ValueError(f"a bootstrap standard error needs n_boot >= 2, got {n_boot}")
     rng = np.random.default_rng(seed)
     n_runs = per_run.shape[0]
-    vals = np.empty(n_boot)
-    for k in range(n_boot):
-        idx = rng.integers(0, n_runs, n_runs)
-        mean = per_run[idx].mean(axis=0)
-        mean = (mean + mean.conj().transpose()) / 2.0
-        vals[k] = _neg(mean, (0,))
-    return float(vals.std(ddof=1))
+    draws = rng.integers(0, n_runs, (n_boot, n_runs))
+    total = np.zeros((n_boot,) + per_run.shape[1:], dtype=complex)
+    for col in draws.T:
+        total += per_run[col]
+    means = total / n_runs
+    means = (means + np.swapaxes(means.conj(), -1, -2)) / 2.0
+    return float(negativity(means, (0,)).std(ddof=1))

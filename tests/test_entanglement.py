@@ -3,7 +3,7 @@ import pytest
 from conftest import random_unitary
 from hypothesis import given, settings, strategies as st
 
-from resetlb import qop
+from resetlb import entanglement, qop
 from resetlb.analytic import dephasing_ising_reset_negativity
 from resetlb.dynamics import steady_state
 from resetlb.entanglement import (
@@ -102,6 +102,64 @@ def test_average_negativity_ghz():
 def test_average_negativity_product_zero(rng):
     rho = np.kron(np.kron(random_density(1, rng), random_density(1, rng)), random_density(1, rng))
     assert average_negativity(rho).average < 1e-11
+
+
+def one_state_negativity(rho, part):
+    """Negativity of one state by a sum over the negative eigenvalues alone."""
+    pt = qop.partial_transpose(rho, part)
+    evals = np.linalg.eigvalsh((pt + pt.conj().T) / 2.0)
+    return float(np.sum(np.abs(evals[evals < 0])))
+
+
+def stack_cases(n, rng):
+    ghz = (ket("0" * n) + ket("1" * n)) / np.sqrt(2)
+    bell_pairs = np.kron(bell_state(), random_density(n - 2, rng)) if n > 2 else bell_state()
+    states = [random_density(n, rng, rank) for rank in (None, 1, 2, 3)]
+    states += [projector(ghz), bell_pairs, np.eye(2**n, dtype=complex) / 2**n]
+    return np.array(states)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_negativity_equals_per_state_bits(rng, n):
+    stack = stack_cases(n, rng)
+    for part in bipartitions(n):
+        values = negativity(stack, part)
+        assert values.shape == (len(stack),)
+        for rho, value in zip(stack, values):
+            assert type(negativity(rho, part)) is float
+            assert value == negativity(rho, part) == one_state_negativity(rho, part)
+        assert negativity(stack[:1], part).tolist() == [negativity(stack[0], part)]
+    grid = negativity(stack[:6].reshape((2, 3) + stack.shape[1:]), (0,))
+    assert grid.ravel().tolist() == [negativity(rho, (0,)) for rho in stack[:6]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stacked_average_negativity_equals_per_state_bits(rng, n):
+    stack = stack_cases(n, rng)
+    report = average_negativity(stack)
+    assert report.bipartition_count == len(bipartitions(n))
+    for i, rho in enumerate(stack):
+        alone = average_negativity(rho)
+        assert type(alone.average) is float
+        assert report.average[i] == alone.average
+        assert alone.average == float(np.mean([one_state_negativity(rho, p) for p in bipartitions(n)]))
+        for part, values in report.per_bipartition.items():
+            assert values[i] == alone.per_bipartition[part]
+    assert average_negativity(stack[:1]).average.tolist() == [average_negativity(stack[0]).average]
+
+
+def test_average_negativity_of_a_stack_calls_negativity_once_per_bipartition(monkeypatch, rng):
+    calls = []
+    original = entanglement.negativity
+
+    def counting(rho, part):
+        calls.append(np.shape(rho))
+        return original(rho, part)
+
+    monkeypatch.setattr(entanglement, "negativity", counting)
+    stack = np.array([random_density(4, rng) for _ in range(9)])
+    entanglement.average_negativity(stack)
+    assert calls == [stack.shape] * 7
 
 
 # --- Poisson weighting -------------------------------------------------------------

@@ -8,6 +8,7 @@ from resetlb.qop import (
     bell_state,
     ket,
     local_pauli,
+    n_qubits_of,
     partial_trace,
     partial_transpose,
     projector,
@@ -178,6 +179,35 @@ def test_validate_density_rejects_non_finite_entries(mat):
     with pytest.raises(DensityMatrixError) as err:
         validate_density(mat)
     assert err.value.violation == "non-finite entries"
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3, 6, 2**60 + 1])
+def test_n_qubits_of_rejects_non_powers_of_two(dim):
+    with pytest.raises(ValueError, match="not a power of two"):
+        n_qubits_of(dim)
+
+
+def test_n_qubits_of_powers_of_two():
+    assert [n_qubits_of(2**n) for n in (1, 2, 5, 60)] == [1, 2, 5, 60]
+
+
+@pytest.mark.parametrize("dim", [0, 1, 3])
+def test_validate_density_rejects_dimension_not_power_of_two(dim):
+    mat = np.eye(dim, dtype=complex) / max(dim, 1)
+    with pytest.raises(DensityMatrixError) as err:
+        validate_density(mat)
+    assert err.value.violation == "dimension is not a power of two"
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("lead", [(1,), (3,), (2, 3)], ids=["one", "three", "2x3"])
+def test_partial_transpose_of_a_stack_is_per_state(rng, n, lead):
+    stack = np.array([random_density(n, rng) for _ in range(int(np.prod(lead)))]).reshape(lead + (2**n, 2**n))
+    for part in [(0,), (n - 1,), tuple(range(0, n, 2))]:
+        pts = partial_transpose(stack, part)
+        assert pts.shape == stack.shape
+        for i in np.ndindex(*lead):
+            assert np.array_equal(pts[i], partial_transpose(stack[i], part))
 
 
 def test_validate_density_thermal_product_diagonal():

@@ -99,8 +99,8 @@ def test_step_system_collision_accumulates_psi():
     # unshared move: u >= 0.2, direction floor((u-0.2)/0.2); dir 3 = -col
     rng = ScriptedRng([np.array([0.1, 0.81, 0.9, 0.9])])
     step(state, rng)
-    assert state.positions[0].tolist() == [0, 0]
-    assert state.positions[1].tolist() == [0, 0]
+    assert state.sites[0] == 0  # flat site of (0, 0)
+    assert state.sites[1] == 0
     assert state.pm.phases[0, 1] == pytest.approx(0.1)
 
 
@@ -517,6 +517,33 @@ def test_bootstrap_stderr_scale():
     se = bootstrap_stderr(res.per_run, n_boot=100, seed=1)
     assert 0 <= se < 0.5
     assert se == bootstrap_stderr(res.per_run, n_boot=100, seed=1)  # deterministic
+
+
+def per_sample_bootstrap(per_run, n_boot, seed):
+    """The bootstrap as one resample at a time: draw, mean, negativity."""
+    rng = np.random.default_rng(seed)
+    n_runs = per_run.shape[0]
+    vals = np.empty(n_boot)
+    for k in range(n_boot):
+        idx = rng.integers(0, n_runs, n_runs)
+        mean = per_run[idx].mean(axis=0)
+        mean = (mean + mean.conj().transpose()) / 2.0
+        vals[k] = negativity(mean, (0,))
+    return float(vals.std(ddof=1))
+
+
+@pytest.mark.parametrize("n_runs, n_boot, seed", [(64, 100, 1), (1, 2, 0), (3, 2, 5), (201, 200, 9), (1000, 200, 33)])
+def test_bootstrap_stderr_equals_per_sample_loop(n_runs, n_boot, seed):
+    cfg = tiny_config(exchange_prob=0.1, steps=40, seed=77)
+    per_run = run_ensemble(cfg, n_runs).per_run
+    assert bootstrap_stderr(per_run, n_boot=n_boot, seed=seed) == per_sample_bootstrap(per_run, n_boot, seed)
+
+
+@pytest.mark.parametrize("n_boot", [-1, 0, 1])
+def test_bootstrap_stderr_needs_two_resamples(n_boot):
+    res = run_ensemble(tiny_config(steps=5), 8)
+    with pytest.raises(ValueError, match="n_boot >= 2"):
+        bootstrap_stderr(res.per_run, n_boot=n_boot)
 
 
 @pytest.mark.slow
