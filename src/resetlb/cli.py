@@ -130,15 +130,14 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
             lam = build_liouvillian(point)
             rho0 = initial_state_from_config(point)
         try:
-            states = evolve(lam, rho0, times).states
+            result = evolve(lam, rho0, times)
         except (qop.DensityMatrixError, ValueError) as exc:
             raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
-        mats = np.stack([state.matrix for state in states])
+        mats = np.stack([state.matrix for state in result.states])
         negs = average_negativity(mats).average
         traces = np.trace(mats, axis1=-2, axis2=-1).real
-        min_evals = np.linalg.eigvalsh(mats)[:, 0]
         swept = [overrides[p] for p in params]
-        rows.extend(swept + list(row) for row in zip(times, negs, traces, min_evals))
+        rows.extend(swept + list(row) for row in zip(times, negs, traces, result.min_eigenvalues))
     columns = params + ["t", "negativity", "trace", "min_eigenvalue"]
     _write_csv(args.out, cfg, "evolve", columns, rows, args.no_timestamp)
     return 0

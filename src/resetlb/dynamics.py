@@ -3,19 +3,21 @@
 Every :class:`Superoperator` holds the real generator R, which acts on
 :func:`qop.to_real` coordinates and has the eigenvalues of the complex
 Liouvillian L, so the solvers use ``lam.matrix`` as it is.  :func:`evolve`
-applies expm(R t) to the state with ``scipy.sparse.linalg.expm_multiply``
-on a sparse copy of R and never forms a propagator; its Richardson error
-estimate costs three more such actions and is computed only when it is
-read.  Steady states come from shifted inverse iteration on R - tol*I
-with a two-vector block whose second Rayleigh quotient tests the null
-space for degeneracy; tol is 1e-10 times ``lam.norm``.  scipy is
-imported where it is used.
+applies expm(R t) to the state by a truncated Taylor series (Al-Mohy and
+Higham, SIAM J. Sci. Comput. 33, 488 (2011)) built from products with the
+non-zeros of R, in numpy alone, and never forms a propagator; its
+Richardson error estimate costs three more such actions and is computed
+only when it is read.  Steady states come from shifted inverse iteration
+on R - tol*I with a two-vector block whose second Rayleigh quotient tests
+the null space for degeneracy; tol is 1e-10 times ``lam.norm``.  scipy is
+imported where it is used, by the steady-state and spectrum solvers only.
 """
 
 from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,20 +37,94 @@ class SteadyStateError(RuntimeError):
     """Null-space solve failed: degenerate or missing steady state."""
 
 
+# theta_m of Al-Mohy and Higham, SIAM J. Sci. Comput. 33, 488 (2011), Table 3.1
+# (m <= 30 from Higham, Functions of Matrices, Table A.3): the largest
+# ||A h||_1 for which m Taylor terms of e^{A h} reach double precision
+_THETA = {
+    1: 2.29e-16, 2: 2.58e-8, 3: 1.39e-5, 4: 3.40e-4, 5: 2.40e-3,
+    6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43,
+    26: 2.64, 27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54,
+    35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+class _ShiftedAction:
+    """x -> (R - mu I) x with mu = tr R / D^2: the row-ordered non-zeros of R
+    gathered, multiplied and summed per row, the shift applied as a scalar.
+    ``norm`` is ||R - mu I||_1."""
+
+    def __init__(self, mat: np.ndarray):
+        d2 = mat.shape[0]
+        rows, self.cols = np.nonzero(mat)
+        self.vals = mat[rows, self.cols]
+        rows, self.starts = np.unique(rows, return_index=True)
+        # rows without a non-zero get no sum
+        self.rows = slice(None) if rows.size == d2 else rows
+        self.mu = float(np.trace(mat)) / d2
+        diag = np.diagonal(mat)
+        col_sums = np.bincount(self.cols, np.abs(self.vals), minlength=d2) - np.abs(diag) + np.abs(diag - self.mu)
+        self.norm = float(np.max(col_sums))
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = -self.mu * x
+        y[self.rows] += np.add.reduceat(self.vals * x[self.cols], self.starts)
+        return y
+
+
+def _taylor_parameters(norm: float) -> tuple[int, int]:
+    """(m, s) with the fewest products m*s for a step h whose ||(R - mu I) h||_1
+    is ``norm``: s = ceil(norm / theta_m) sub-steps of at most m Taylor terms
+    each; (0, 0), no products, for a zero norm."""
+    if norm == 0.0:
+        return 0, 0
+    return min(((m, math.ceil(norm / theta)) for m, theta in _THETA.items()), key=lambda ms: ms[0] * ms[1])
+
+
+def _taylor_steps(action: _ShiftedAction, x: np.ndarray, h: float, out: np.ndarray) -> tuple[int, int]:
+    """Write e^{R h i} x into ``out[i - 1]`` for every row of ``out``.
+
+    Each step is s sub-steps of the m-term Taylor series of (R - mu I) h / s
+    times e^{mu h / s}, a sub-step ending early once two successive terms
+    fall below 2^-53 of the sum (Al-Mohy and Higham, Algorithm 3.2).
+    Returns (m, s), chosen once for all the steps.
+    """
+    m, s = _taylor_parameters(action.norm * h)
+    subs = max(s, 1)  # a zero norm: one sub-step of no terms
+    eta = math.exp(action.mu * h / subs)
+    for row in out:
+        for _ in range(subs):
+            term, c1 = x, np.abs(x).max()
+            for j in range(1, m + 1):
+                term = action(term) * (h / (s * j))
+                c2 = np.abs(term).max()
+                x = x + term
+                if c1 + c2 <= _UNIT_ROUNDOFF * np.abs(x).max():
+                    break
+                c1 = c2
+            x = eta * x
+        row[:] = x
+    return m, s
+
+
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """States on a time grid plus the Richardson error estimate of the
-    largest step (one step against two half steps, taken on that step's
-    start vector).
+    """States on a time grid, the smallest eigenvalue of each (from its
+    validation), and the Richardson error estimate of the largest step (one
+    step against two half steps, taken on that step's start vector).
 
     ``error_estimate`` is computed on first read and cached.  Until the
-    result is dropped it keeps the sparse copy of R and one real start
+    result is dropped it keeps the generator's action and one real start
     vector of D^2 floats.
     """
 
     times: np.ndarray
     states: tuple[qop.DensityMatrix, ...]
-    _gen: object = field(repr=False)  # scipy.sparse.csr_array copy of R
+    min_eigenvalues: np.ndarray
+    _action: _ShiftedAction = field(repr=False)
     _dt_max: float = field(repr=False)
     _start: np.ndarray | None = field(repr=False)
 
@@ -58,11 +134,11 @@ class EvolutionResult:
         dt and its start vector x; 0.0 when the grid takes no step."""
         if self._start is None:
             return 0.0
-        from scipy.sparse.linalg import expm_multiply
-
-        half = self._gen * (self._dt_max / 2.0)
-        twice = expm_multiply(half, expm_multiply(half, self._start))
-        return float(np.max(np.abs(twice - expm_multiply(self._gen * self._dt_max, self._start))))
+        half, twice, full = np.empty((3, self._start.size))
+        _taylor_steps(self._action, self._start, self._dt_max / 2.0, half[None])
+        _taylor_steps(self._action, half, self._dt_max / 2.0, twice[None])
+        _taylor_steps(self._action, self._start, self._dt_max, full[None])
+        return float(np.max(np.abs(twice - full)))
 
     def negativities(self, part=(0,)) -> np.ndarray:
         return negativity(np.stack([st.matrix for st in self.states]), part)
@@ -89,14 +165,15 @@ class SpectrumReport:
 def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResult:
     """Propagate rho0 through the grid by the action of expm(R t).
 
-    Each run of equal steps is one ``expm_multiply`` call (Al-Mohy and
-    Higham's Taylor action, built from products with a sparse copy of R)
-    that returns every state of the run; a zero step repeats the state.
-    The local error is at double precision, far below the 1e-10 contract;
-    the result's ``error_estimate`` is a Richardson comparison of the
-    largest step, computed on first read.  With DEBUG enabled on this
-    module's logger, each call reads it and logs D^2, the number of runs
-    and the estimate.
+    Each run of equal steps is one :func:`_taylor_steps` call, whose
+    truncated Taylor series (Al-Mohy and Higham) needs only products with
+    the non-zeros of R; a zero step repeats the state.  The local error is
+    at double precision, far below the 1e-10 contract; the result's
+    ``error_estimate`` is a Richardson comparison of the largest step,
+    computed on first read.  The states are validated as one stack, whose
+    spectra give ``min_eigenvalues``.  With DEBUG enabled on this module's
+    logger, each call reads the estimate and logs D^2, the number of runs,
+    the (m, s) of each run and the estimate.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -107,36 +184,37 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
         raise ValueError("times must be non-decreasing and non-negative")
     if rho0.dim != lam.dim:
         raise ValueError("dimension mismatch between state and generator")
-    import scipy.sparse
-    from scipy.sparse.linalg import expm_multiply
 
-    gen = scipy.sparse.csr_array(lam.matrix)
+    action = _ShiftedAction(lam.matrix)
     edges = np.concatenate(([0.0], times))
     steps = np.diff(edges)
     x = qop.to_real(rho0.matrix)
-    vectors, runs = [], 0
+    vectors = np.empty((times.size, x.size))
+    taylor = []
     dt_max, start = 0.0, None
     k = 0
     while k < steps.size:
         dt, end = steps[k], k + 1
         if dt == 0:
-            vectors.append(x)
+            vectors[k] = x
         else:
             # ulp-level grid jitter does not end a run
             while end < steps.size and abs(steps[end] - dt) <= 1e-12 * dt:
                 end += 1
             if dt > dt_max:
                 dt_max, start = dt, x
-            block = expm_multiply(gen, x, start=0.0, stop=edges[end] - edges[k], num=end - k + 1)
-            vectors.extend(block[1:])
-            x, runs = block[-1], runs + 1
+            taylor.append(_taylor_steps(action, x, (edges[end] - edges[k]) / (end - k), vectors[k:end]))
+            x = vectors[end - 1]
         k = end
 
-    states = tuple(qop.validate_density(qop.from_real(v), tol=STATE_TOL) for v in vectors)
-    # a copy, since a row of a block would keep the whole block alive
-    result = EvolutionResult(times, states, gen, dt_max, None if start is None else np.array(start))
+    states, spectra = qop.states_from_real(vectors, tol=STATE_TOL)
+    # a copy, since a row of ``vectors`` would keep them all alive
+    result = EvolutionResult(times, states, spectra[:, 0], action, dt_max, None if start is None else np.array(start))
     if _log.isEnabledFor(logging.DEBUG):
-        _log.debug("evolve: D^2=%d runs=%d error_estimate=%.3e", gen.shape[0], runs, result.error_estimate)
+        _log.debug(
+            "evolve: D^2=%d runs=%d (m, s)=%s error_estimate=%.3e",
+            x.size, len(taylor), taylor, result.error_estimate,
+        )
     return result
 
 

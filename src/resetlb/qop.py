@@ -66,6 +66,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
+        if mat.ndim != 2:
+            raise DensityMatrixError("not a square matrix", float("nan"), self.tol)
         _check_density(mat, self.tol)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
@@ -79,30 +81,63 @@ class DensityMatrix:
         return n_qubits_of(self.dim)
 
 
-def _check_density(mat: np.ndarray, tol: float) -> None:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+def _check_density(mat: np.ndarray, tol: float) -> np.ndarray:
+    """Check one matrix (D, D) or every matrix of a stack (..., D, D); a
+    violation reports the largest over the stack.  Returns the ascending
+    eigenvalues of the Hermitian part (mat + mat^H) / 2."""
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
         raise DensityMatrixError("not a square matrix", float("nan"), tol)
     try:
-        n_qubits_of(mat.shape[0])
+        n_qubits_of(mat.shape[-1])
     except ValueError:
         raise DensityMatrixError("dimension is not a power of two", float("nan"), tol) from None
     if not np.all(np.isfinite(mat)):
         # every comparison below is False for NaN
         raise DensityMatrixError("non-finite entries", float("nan"), tol)
-    herm = np.max(np.abs(mat - mat.conj().T))
+    adj = mat.conj().swapaxes(-1, -2)
+    herm = np.abs(mat - adj).max()
     if herm > tol:
         raise DensityMatrixError("not Hermitian", float(herm), tol)
-    tr = abs(np.trace(mat) - 1.0)
+    tr = np.abs(mat.trace(axis1=-2, axis2=-1) - 1.0).max()
     if tr > tol:
         raise DensityMatrixError("trace differs from 1", float(tr), tol)
-    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-    if evals[0] < -tol:
-        raise DensityMatrixError("negative eigenvalue", float(-evals[0]), tol)
+    evals = np.linalg.eigvalsh((mat + adj) / 2.0)
+    low = -evals[..., 0].min()
+    if low > tol:
+        raise DensityMatrixError("negative eigenvalue", float(low), tol)
+    return evals
 
 
 def validate_density(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DensityMatrix:
     """Validate a raw matrix as a density matrix or raise DensityMatrixError."""
     return DensityMatrix(matrix, tol)
+
+
+_CHECK_BYTES = 2**17  # stack slice per check: its temporaries are a few times this
+
+
+def states_from_real(xs: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[tuple[DensityMatrix, ...], np.ndarray]:
+    """Validated density matrices of the rows of ``xs`` (k, D^2), real
+    coordinates as :func:`from_real` reads them, and their spectra (k, D).
+
+    The states are read-only views of one complex stack, checked in slices
+    so that the check's temporaries stay small; each spectrum is the
+    ascending eigenvalues of the state, which is Hermitian by construction.
+    """
+    d = int(round(np.sqrt(xs.shape[1])))
+    stack = np.empty((len(xs), d, d), dtype=complex)
+    for mat, x in zip(stack, xs):
+        mat[:] = from_real(x)
+    step = max(1, _CHECK_BYTES // stack[0].nbytes)
+    spectra = np.concatenate([_check_density(stack[i : i + step], tol) for i in range(0, len(stack), step)])
+    stack.setflags(write=False)
+    states = []
+    for mat in stack:
+        state = object.__new__(DensityMatrix)  # the stack check above stands for __post_init__
+        object.__setattr__(state, "matrix", mat)
+        object.__setattr__(state, "tol", tol)
+        states.append(state)
+    return tuple(states), spectra
 
 
 def local_pauli(n: int, site: int, which: str) -> np.ndarray:

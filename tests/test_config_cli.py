@@ -608,13 +608,34 @@ def test_cli_zero_generator_five_qubits_is_solver_error(tmp_path, capsys):
     assert "degenerate null space" in err
 
 
-def test_import_cli_does_not_load_scipy():
+def run_python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(resetlb.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, resetlb.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_import_cli_does_not_load_scipy():
+    proc = run_python("import sys, resetlb.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_evolve_command_does_not_load_scipy(tmp_path):
+    """An evolve run, error estimate included, needs no scipy module."""
+    out = tmp_path / "evolve.csv"
+    args = ["evolve", "--config", str(CONFIGS / "time_evolution.json"), "--out", str(out), "--t-max", "2.0", "--points", "21"]
+    code = (
+        "import logging, sys\n"
+        "from resetlb.cli import main\n"
+        "logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)\n"
+        f"code = main({args!r})\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert proc.stderr.count("error_estimate=") == 9  # one record per sweep point
+    assert len(out.read_text().splitlines()) == 5 + 9 * 21  # four header lines and the column names
 
 
 def test_experiment_table_names_every_config():

@@ -1,17 +1,20 @@
 import logging
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 from conftest import complex_form
 
-from resetlb import analytic
+from resetlb import analytic, dynamics
 from resetlb.dynamics import (
+    _THETA,
     SteadyStateError,
     _inverse_iteration,
+    _ShiftedAction,
+    _taylor_parameters,
+    _taylor_steps,
     entangled_reset_window,
     entangling_profile,
     evolve,
@@ -86,17 +89,26 @@ def test_evolve_logs_steps_and_error_estimate(caplog, rng):
         res = evolve(lam, validate_density(random_density(2, rng)), [0.0, 0.3, 0.3, 1.0, 1.7])
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
-    d2, steps, err = record.args
+    d2, steps, taylor, err = record.args
     assert (d2, steps) == (16, 2)  # runs of equal steps: 0.3 once, 0.7 twice
+    norm = _ShiftedAction(lam.matrix).norm
+    assert taylor == [_taylor_parameters(norm * 0.3), _taylor_parameters(norm * (1.7 - 0.3) / 2)]
     assert err == res.error_estimate
-    assert "error_estimate" in record.getMessage()
+    assert "(m, s)" in record.getMessage() and "error_estimate" in record.getMessage()
 
 
-def counting_expm_multiply(monkeypatch) -> list:
-    """Wrap scipy.sparse.linalg.expm_multiply; the returned list grows by
-    one per call."""
-    calls, action = [], scipy.sparse.linalg.expm_multiply
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda *a, **kw: calls.append(kw) or action(*a, **kw))
+def counting_taylor_steps(monkeypatch) -> list:
+    """Wrap the stepper; the returned list grows by one step size per call,
+    one action of expm(R h) over a run of equal steps h."""
+    calls, stepper = [], dynamics._taylor_steps
+    monkeypatch.setattr(dynamics, "_taylor_steps", lambda *a: calls.append(a[2]) or stepper(*a))
+    return calls
+
+
+def counting_products(monkeypatch) -> list:
+    """Wrap the generator's action; the returned list grows by one per product."""
+    calls, product = [], _ShiftedAction.__call__
+    monkeypatch.setattr(_ShiftedAction, "__call__", lambda self, x: calls.append(1) or product(self, x))
     return calls
 
 
@@ -106,18 +118,56 @@ def test_error_estimate_is_computed_on_first_read(monkeypatch, caplog, rng):
     caplog.set_level(logging.INFO, logger="resetlb.dynamics")
     lam = dephasing_ising_reset(2.0, 1.0, 1.5, 3.0)
     rho0 = validate_density(random_density(2, rng))
-    calls = counting_expm_multiply(monkeypatch)
+    calls = counting_taylor_steps(monkeypatch)
     res = evolve(lam, rho0, [0.0, 0.3, 0.3, 1.0, 1.7])
     assert len(calls) == 2  # 0.3 once, 0.7 twice
     err = res.error_estimate
     assert len(calls) == 5  # the largest step and its two halves
     assert res.error_estimate == err and len(calls) == 5
     # eager recomputation: the largest step, 0.7, starts from the state at 0.3
-    gen, dt = scipy.sparse.csr_array(lam.matrix), 1.0 - 0.3
-    x = scipy.sparse.linalg.expm_multiply(gen, to_real(rho0.matrix), start=0.0, stop=0.3, num=2)[-1]
-    half = gen * (dt / 2.0)
-    twice = scipy.sparse.linalg.expm_multiply(half, scipy.sparse.linalg.expm_multiply(half, x))
-    assert err == float(np.max(np.abs(twice - scipy.sparse.linalg.expm_multiply(gen * dt, x))))
+    action, dt = _ShiftedAction(lam.matrix), 1.0 - 0.3
+    x, half, twice, full = np.empty((4, 1, 16))
+    _taylor_steps(action, to_real(rho0.matrix), 0.3, x)
+    _taylor_steps(action, x[0], dt / 2.0, half)
+    _taylor_steps(action, half[0], dt / 2.0, twice)
+    _taylor_steps(action, x[0], dt, full)
+    assert err == float(np.max(np.abs(twice - full)))
+
+
+def test_shifted_action_matches_dense(rng):
+    """The action and its 1-norm equal (R - mu I) x and ||R - mu I||_1, also
+    for a generator with rows without a non-zero (a diagonal H alone)."""
+    bare = assemble(build_hamiltonian(HamiltonianSpec("ising", g=2.0, omega=1.5), 2), [])
+    assert not np.all(np.any(bare.matrix, axis=1))
+    for lam in (dephasing_ising_reset(2.0, 1.0, 1.5, 3.0), bare):
+        shifted = lam.matrix - np.trace(lam.matrix) / 16 * np.eye(16)
+        action, x = _ShiftedAction(lam.matrix), rng.standard_normal(16)
+        assert np.max(np.abs(action(x) - shifted @ x)) < 1e-13
+        assert action.norm == pytest.approx(np.max(np.abs(shifted).sum(axis=0)), rel=1e-14)
+
+
+def test_taylor_parameters_minimise_products(monkeypatch):
+    """(m, s) takes the fewest products m*s over the theta table; a zero
+    norm takes none, and verify's t = 80 step takes at most m*s."""
+    assert _taylor_parameters(0.0) == (0, 0)
+    for norm in (1e-3, 0.4, 3.0, 40.0, 1e3):
+        m, s = _taylor_parameters(norm)
+        assert s == math.ceil(norm / _THETA[m])
+        assert m * s == min(mm * math.ceil(norm / theta) for mm, theta in _THETA.items())
+    products = counting_products(monkeypatch)
+    lam = Superoperator(np.zeros((16, 16)), 2)
+    rho0 = validate_density(np.eye(4) / 4)
+    res = evolve(lam, rho0, [0.0, 1.0, 80.0])
+    assert res.error_estimate == 0.0
+    assert products == []
+    # verify's spectrum_stability step
+    h = build_hamiltonian(HamiltonianSpec("ising", g=2.0, omega=1.0), 2)
+    lam = assemble(h, [local_noise_generator(2, GasNoiseParams(B=0.5, C=0.5, s=0.3)), reset_generator(2, ResetSpec.pure(0.8, 2, "+"))])
+    out = np.empty((1, 16))
+    m, s = _taylor_steps(_ShiftedAction(lam.matrix), to_real(rho0.matrix), 80.0, out)
+    assert (m, s) == _taylor_parameters(_ShiftedAction(lam.matrix).norm * 80.0)
+    assert s > 1 and 0 < len(products) <= m * s
+    assert np.max(np.abs(from_real(out[0]) - steady_state(lam).matrix)) < 1e-9
 
 
 def test_evolve_trace_stays_one(rng):
@@ -425,7 +475,7 @@ def test_evolve_five_qubits_matches_complex_path_in_less_memory(rng):
     lam = generator_family("mixed_reset", 5, rng)
     rho0 = validate_density(projector(ket("+" * 5)))
     times = [0.0, 0.25, 0.5]
-    evolve(lam, rho0, [0.0])  # the first call imports scipy.linalg
+    evolve(lam, rho0, [0.0])  # a first call, so that one-time costs are not counted
 
     def traced(fn):
         tracemalloc.start()
@@ -516,7 +566,7 @@ def test_evolve_five_qubits_allocates_a_fraction_of_the_generator(rng):
     expm workspace, each several times R."""
     lam = action_family("evolve5q", 5, rng)
     rho0 = validate_density(projector(ket("+" * 5)))
-    evolve(lam, rho0, [0.0, 0.1])  # the first call imports scipy.sparse
+    evolve(lam, rho0, [0.0, 0.1])  # a first call, so that one-time costs are not counted
     tracemalloc.start()
     try:
         res = evolve(lam, rho0, np.linspace(0.0, 1.3, 101))

@@ -12,7 +12,10 @@ from resetlb.qop import (
     partial_trace,
     partial_transpose,
     projector,
+    from_real,
     random_density,
+    states_from_real,
+    to_real,
     trace_norm,
     validate_density,
     vec,
@@ -179,6 +182,34 @@ def test_validate_density_rejects_non_finite_entries(mat):
     with pytest.raises(DensityMatrixError) as err:
         validate_density(mat)
     assert err.value.violation == "non-finite entries"
+
+
+def test_validate_density_refuses_a_stack():
+    with pytest.raises(DensityMatrixError) as err:
+        validate_density(np.stack([np.eye(2) / 2] * 3))
+    assert err.value.violation == "not a square matrix"
+
+
+def test_states_from_real_validates_a_stack_and_keeps_its_spectra(rng):
+    """300 three-qubit states span three check slices: each state equals the
+    one validated alone, its spectrum is its eigvalsh, and a violation in
+    the last slice is found."""
+    xs = np.stack([to_real(random_density(3, rng)) for _ in range(300)])
+    states, spectra = states_from_real(xs, tol=1e-9)
+    assert spectra.shape == (300, 8)
+    for x, state, evals in zip(xs, states, spectra):
+        assert np.array_equal(state.matrix, validate_density(from_real(x)).matrix)
+        assert np.array_equal(evals, np.linalg.eigvalsh(state.matrix))
+        assert state.tol == 1e-9 and not state.matrix.flags.writeable
+    bad = xs.copy()
+    bad[290] = to_real(np.diag([0.7, 0.4, -0.1, 0, 0, 0, 0, 0]))
+    with pytest.raises(DensityMatrixError) as err:
+        states_from_real(bad, tol=1e-9)
+    assert err.value.violation == "negative eigenvalue"
+    assert err.value.magnitude == pytest.approx(0.1)
+    bad[290] *= 2.0
+    with pytest.raises(DensityMatrixError, match="trace"):
+        states_from_real(bad)
 
 
 @pytest.mark.parametrize("dim", [0, 1, 3, 6, 2**60 + 1])
