@@ -9,8 +9,13 @@ non-zeros of R, in numpy alone, and never forms a propagator; its
 Richardson error estimate costs three more such actions and is computed
 only when it is read.  Steady states come from shifted inverse iteration
 on R - tol*I with a two-vector block whose second Rayleigh quotient tests
-the null space for degeneracy; tol is 1e-10 times ``lam.norm``.  scipy is
-imported where it is used, by the steady-state and spectrum solvers only.
+the null space for degeneracy; tol is 1e-10 times ``lam.norm``.  Its
+solves are forward substitutions over the diagonal blocks that the strong
+components of R's non-zero pattern give in topological order, one LU per
+block: the gas R splits into 16 blocks of 64 at n = 5, while a thermal R,
+all non-zero, is one block, the dense LU of R as it is.  scipy is imported
+where it is used, by the steady-state and spectrum solvers only, and
+``scipy.sparse`` only for a pattern that may split into blocks.
 """
 
 from __future__ import annotations
@@ -223,26 +228,33 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
 
     One path at every D^2: shifted inverse iteration in real coordinates
     with tolerance 1e-10 times ``lam.norm``, the inf-norm of R (a
-    spectral-radius bound, since R has the eigenvalues of L).  A
-    zero generator, no eigenvalue or two within tolerance of zero raise
-    :class:`SteadyStateError`.  The state is Hermitian by construction
-    and trace-normalized after the solve; its residual ||L rho|| is
-    ||R x|| / |tr rho|.  A positivity failure beyond 1e-9 is an error, not
-    clipped, since it would mask an assembly bug.  Each solve logs D^2,
-    tol, residual and null gap at DEBUG.
+    spectral-radius bound, since R has the eigenvalues of L), whose solves
+    with R - tol*I go block by block down R's block-triangular form (one
+    block, the whole of R, when D^2 <= 64 or the pattern is strongly
+    connected).  A zero generator, no eigenvalue or two within tolerance of
+    zero raise :class:`SteadyStateError`, also when the null vectors sit in
+    different blocks.  The state is Hermitian by construction and
+    trace-normalized after the solve; its residual ||L rho|| is
+    ||R x|| / |tr rho| on the full R.  A positivity failure beyond 1e-9 is
+    an error, not clipped, since it would mask an assembly bug.  Each solve
+    logs D^2, tol, residual, null gap, the number of diagonal blocks and the
+    largest block at DEBUG.
     """
     d2 = lam.matrix.shape[0]
     if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
     tol = 1e-10 * lam.norm
-    x, gap = _inverse_iteration(lam.matrix, tol)
+    x, gap, blocks = _inverse_iteration(lam.matrix, tol)
     rho = qop.from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
     residual = float(np.linalg.norm(lam.matrix @ x)) / abs(tr)
-    _log.debug("steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e", d2, tol, residual, gap)
+    _log.debug(
+        "steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d",
+        d2, tol, residual, gap, len(blocks), max(blocks),
+    )
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
     try:
@@ -263,27 +275,118 @@ def _start_block(d2: int) -> np.ndarray:
     return block
 
 
-def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
+_MIN_BLOCK = 64  # coordinates; smaller consecutive components share one LU
+
+
+@dataclass(frozen=True, eq=False)
+class _Block:
+    """A diagonal block of R in block-triangular order: its coordinates
+    ``idx``, ascending (``slice(None)`` when the block is all of R), the
+    non-zeros R[rows, cols] left of it, and the block-local row and start
+    of each run of equal rows among them, ``runs`` and ``starts``, as
+    ``np.add.reduceat`` takes them."""
+
+    idx: np.ndarray | slice
+    rows: np.ndarray
+    cols: np.ndarray
+    runs: np.ndarray
+    starts: np.ndarray
+
+
+_NONE = np.zeros(0, dtype=np.intp)
+_ONE_BLOCK = (_Block(slice(None), _NONE, _NONE, _NONE, _NONE),)
+
+
+def _triangular_blocks(mat: np.ndarray) -> tuple[_Block, ...]:
+    """The diagonal blocks of ``mat`` in an order of its coordinates under
+    which it is block lower triangular, from the strong components of its
+    non-zero pattern (Tarjan, SIAM J. Comput. 1, 146 (1972)).  A matrix of
+    at most ``_MIN_BLOCK`` coordinates, or one whose first row and column
+    have no zero (every coordinate then reaches and is reached from the
+    first: one component, as in every thermal R), is one block, found
+    without scipy."""
+    if mat.shape[0] <= _MIN_BLOCK or (np.all(mat[0]) and np.all(mat[:, 0])):
+        return _ONE_BLOCK
+    return _pattern_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
+    """:func:`_triangular_blocks` of a packed D^2 x D^2 non-zero pattern.
+    Cached: it depends on the pattern only, which a sweep over rates keeps.
+
+    An edge j -> i stands for R[i, j] != 0.  The components go in a
+    topological order of their condensation, so every non-zero sits in or
+    left of a diagonal block; consecutive components are merged into
+    blocks of at least ``_MIN_BLOCK`` coordinates."""
+    import graphlib
+
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    rows, cols = np.nonzero(np.unpackbits(np.frombuffer(pattern, np.uint8), count=d2 * d2).reshape(d2, d2))
+    n_comp, comp = connected_components(coo_array((np.ones(rows.size), (cols, rows)), shape=(d2, d2)), connection="strong")
+    preds: dict[int, set[int]] = {c: set() for c in range(n_comp)}
+    for src, dst in zip(comp[cols].tolist(), comp[rows].tolist()):
+        if src != dst:
+            preds[dst].add(src)
+    sizes = np.bincount(comp)
+    block_of = np.empty(n_comp, dtype=np.intp)
+    last, filled = 0, 0
+    for c in graphlib.TopologicalSorter(preds).static_order():
+        if filled >= _MIN_BLOCK:
+            last, filled = last + 1, 0
+        block_of[c], filled = last, filled + sizes[c]
+    if last == 0:
+        return _ONE_BLOCK
+    coord_block = block_of[comp]
+    left = coord_block[rows] > coord_block[cols]
+    rows, cols = rows[left], cols[left]  # still in row order
+    blocks = []
+    for k in range(last + 1):
+        idx = np.flatnonzero(coord_block == k)
+        mine = coord_block[rows] == k
+        starts = np.flatnonzero(np.diff(rows[mine], prepend=-1))
+        blocks.append(_Block(idx, rows[mine], cols[mine], np.searchsorted(idx, rows[mine][starts]), starts))
+    return tuple(blocks)
+
+
+def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, list[int]]:
     """Shifted inverse iteration on the real ``mat`` targeting 0 from
-    :func:`_start_block`; returns the null vector and the null gap
-    |theta_2|, whose falling within ``tol`` marks a degenerate null space."""
+    :func:`_start_block`; returns the null vector, the null gap |theta_2|,
+    whose falling within ``tol`` marks a degenerate null space, and the
+    sizes of the diagonal blocks.
+
+    Each solve with ``mat`` - tol*I is a forward substitution over the
+    diagonal blocks of :func:`_triangular_blocks`, one LU per block; one
+    block is one dense LU of the matrix as it is."""
     import scipy.linalg
 
     d2 = mat.shape[0]
-    shifted = np.array(mat)
-    shifted[np.diag_indices(d2)] -= tol
+    blocks = _triangular_blocks(mat)
     # lu_factor/lu_solve's LAPACK calls minus their wrapper cost, which dominates
     # at D^2 = 16; an exactly zero pivot shows up as the non-finite check below
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
-    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mat,))
+    factors = []
+    for blk in blocks:
+        shifted = np.array(mat) if isinstance(blk.idx, slice) else mat[np.ix_(blk.idx, blk.idx)]
+        shifted[np.diag_indices(len(shifted))] -= tol
+        factors.append((blk, *getrf(shifted, overwrite_a=True)[:2], mat[blk.rows, blk.cols] if blk.rows.size else None))
+
     block = _start_block(d2)
     for _ in range(3):
+        solved = np.empty((d2, 2))
         # one right-hand side per call: with two BLAS threads a two-column
         # getrs at D^2 = 16 can take milliseconds, two one-column calls microseconds
-        block = np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
-        if not np.all(np.isfinite(block)):
+        for b, x in zip(block.T, solved.T):
+            for blk, lu, piv, vals in factors:
+                rhs = b[blk.idx]
+                if vals is not None:
+                    rhs[blk.runs] -= np.add.reduceat(vals * x[blk.cols], blk.starts)
+                x[blk.idx] = getrs(lu, piv, rhs)[0]
+        if not np.all(np.isfinite(solved)):
             raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
-        block, _ = np.linalg.qr(block)
+        block, _ = np.linalg.qr(solved)
     # Rayleigh quotients on the iterated subspace; a complex pair has equal
     # moduli, so it is refused below before its eigenvector is used
     small = block.T @ (mat @ block)
@@ -294,7 +397,7 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float]:
         raise SteadyStateError("no eigenvalue within tolerance of zero")
     if gap <= tol:
         raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
-    return block @ y[:, order[0]], gap
+    return block @ y[:, order[0]], gap, [len(lu) for _, lu, _, _ in factors]
 
 
 def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:

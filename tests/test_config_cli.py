@@ -638,6 +638,17 @@ def test_evolve_command_does_not_load_scipy(tmp_path):
     assert len(out.read_text().splitlines()) == 5 + 9 * 21  # four header lines and the column names
 
 
+def test_two_qubit_steady_command_does_not_load_scipy_sparse(tmp_path):
+    """A D^2 = 16 generator is one diagonal block, so its steady solves
+    need no strong-component search and no ``scipy.sparse``."""
+    out = tmp_path / "steady.csv"
+    args = ["steady", "--config", str(CONFIGS / "toy_model_cut.json"), "--out", str(out)]
+    proc = run_python(f"import sys\nfrom resetlb.cli import main\nprint(main({args!r}), 'scipy.sparse' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert len(out.read_text().splitlines()) == 5 + 120  # four header lines and the column names
+
+
 def test_experiment_table_names_every_config():
     names = [name for _, name, _ in EXPERIMENTS]
     assert sorted(names) == sorted(p.stem for p in CONFIGS.glob("*.json"))

@@ -11,10 +11,13 @@ from resetlb import analytic, dynamics
 from resetlb.dynamics import (
     _THETA,
     SteadyStateError,
+    _MIN_BLOCK,
     _inverse_iteration,
     _ShiftedAction,
+    _start_block,
     _taylor_parameters,
     _taylor_steps,
+    _triangular_blocks,
     entangled_reset_window,
     entangling_profile,
     evolve,
@@ -313,14 +316,127 @@ def test_steady_logs_residual_and_null_gap(caplog):
         steady_state(lam)
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
-    d2, tol, residual, gap = record.args
+    d2, tol, residual, gap, blocks, largest = record.args
     assert d2 == 16
+    assert (blocks, largest) == (1, 16)
     assert tol == pytest.approx(1e-10 * np.max(np.abs(lam.matrix).sum(axis=1)))
     assert 0.0 <= residual <= 1e-12
     # the null gap estimates the smallest non-zero |eigenvalue| (here 4)
     evals = np.sort(np.abs(np.linalg.eigvals(lam.matrix)))
     assert abs(gap - evals[1]) < 0.1 * evals[1]
     assert "null_gap" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
+        steady_state(measures_gas_generator(5, 10.0))
+    (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
+    assert record.args[0] == 1024 and record.args[4:] == (16, 64)
+
+
+# --- block-triangular solves -----------------------------------------------------
+
+
+def measures_gas_generator(n, r):
+    """R of ``configs/measures_gas.json`` at n qubits and reset rate r."""
+    h = build_hamiltonian(HamiltonianSpec("ising", g=20.0, omega=50.0), n)
+    gens = [local_noise_generator(n, GasNoiseParams(0.0, 2.0, 0.5)), reset_generator(n, ResetSpec.pure(r, n, "+"))]
+    return assemble(h, gens, n=n)
+
+
+def dense_inverse_iteration(mat, tol):
+    """Reference: the inverse iteration of :func:`_inverse_iteration` with
+    every solve through one dense LU of ``mat`` - tol*I, as it is."""
+    d2 = mat.shape[0]
+    shifted = np.array(mat)
+    shifted[np.diag_indices(d2)] -= tol
+    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
+    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    block = _start_block(d2)
+    for _ in range(3):
+        block = np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
+        if not np.all(np.isfinite(block)):
+            raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
+        block, _ = np.linalg.qr(block)
+    small = block.T @ (mat @ block)
+    theta, y = np.linalg.eig(small)
+    order = np.argsort(np.abs(theta))
+    gap = float(abs(theta[order[1]]))
+    if abs(theta[order[0]]) > tol:
+        raise SteadyStateError("no eigenvalue within tolerance of zero")
+    if gap <= tol:
+        raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
+    return block @ y[:, order[0]], gap
+
+
+def unit_trace(x):
+    rho = from_real(x)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize(
+    "n,rates", [(4, (5.0, 10.0, 55.0, 150.0)), (5, (5.0, 10.0, 55.0, 150.0)), pytest.param(6, (10.0, 150.0), marks=pytest.mark.slow)]
+)
+def test_blocked_solve_matches_dense_lu(n, rates):
+    """The gas R splits into several diagonal blocks; the states and null
+    gaps of the blocked solves agree with one dense LU.  The null gap is a
+    Ritz value of a subspace from which the null vector, amplified 1/tol
+    times more, was projected out, so its rounding floor is about 1e-8
+    relative: the same dense LU on a symmetric permutation of R's
+    coordinates moves it by up to 8e-8 at these rates."""
+    for r in rates:
+        lam = measures_gas_generator(n, r)
+        tol = 1e-10 * lam.norm
+        x, gap, blocks = _inverse_iteration(lam.matrix, tol)
+        want, want_gap = dense_inverse_iteration(lam.matrix, tol)
+        assert len(blocks) > 1 and sum(blocks) == 4**n
+        assert np.max(np.abs(unit_trace(x) - unit_trace(want))) < 1e-13, r
+        assert abs(gap - want_gap) <= 1e-6 * want_gap, r
+
+
+@pytest.mark.parametrize("name", ["gas-2", "gas-3", "thermal-4"])
+def test_one_block_solve_is_the_dense_lu(name, rng):
+    """At D^2 <= _MIN_BLOCK and on a strongly connected pattern the solve is
+    one block, the dense LU bit for bit."""
+    lam = generator_family("thermal", 4, rng) if name == "thermal-4" else measures_gas_generator(int(name[-1]), 10.0)
+    tol = 1e-10 * lam.norm
+    x, gap, blocks = _inverse_iteration(lam.matrix, tol)
+    want, want_gap = dense_inverse_iteration(lam.matrix, tol)
+    assert blocks == [lam.matrix.shape[0]]
+    assert np.array_equal(x, want) and gap == want_gap
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_permuted_generator_is_block_lower_triangular(n):
+    """Under the block order no non-zero lies right of a diagonal block,
+    every block but the last has at least _MIN_BLOCK coordinates, and the
+    non-zeros left of the blocks are exactly the ones the solves gather."""
+    mat = measures_gas_generator(n, 10.0).matrix
+    blocks = _triangular_blocks(mat)
+    perm = np.concatenate([blk.idx for blk in blocks])
+    assert np.array_equal(np.sort(perm), np.arange(4**n))
+    assert all(np.all(np.diff(blk.idx) > 0) for blk in blocks)
+    sizes = [blk.idx.size for blk in blocks]
+    assert all(size >= _MIN_BLOCK for size in sizes[:-1])
+    permuted = mat[np.ix_(perm, perm)]
+    block_of = np.repeat(np.arange(len(blocks)), sizes)
+    assert not np.any(permuted[block_of[:, None] < block_of[None, :]])
+    position, left = np.argsort(perm), np.zeros_like(permuted, dtype=bool)
+    for k, blk in enumerate(blocks):
+        assert np.all(block_of[position[blk.rows]] == k) and np.all(block_of[position[blk.cols]] < k)
+        left[position[blk.rows], position[blk.cols]] = True
+    assert np.array_equal(left, (block_of[:, None] > block_of[None, :]) & (permuted != 0))
+
+
+def test_singular_components_in_different_blocks_are_degenerate():
+    """Reset-free pure dephasing conserves every population; their null
+    coordinates sit in different diagonal blocks, and the null gap still
+    reports the degenerate null space."""
+    n = 4
+    lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
+    blocks = _triangular_blocks(lam.matrix)
+    null = np.flatnonzero(~np.any(lam.matrix, axis=0))
+    assert len({k for k, blk in enumerate(blocks) for c in null if c in blk.idx}) > 1
+    with pytest.raises(SteadyStateError, match="degenerate null space"):
+        steady_state(lam)
 
 
 @pytest.mark.slow
