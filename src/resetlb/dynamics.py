@@ -11,11 +11,13 @@ only when it is read.  Steady states come from shifted inverse iteration
 on R - tol*I with a two-vector block whose second Rayleigh quotient tests
 the null space for degeneracy; tol is 1e-10 times ``lam.norm``.  Its
 solves are forward substitutions over the diagonal blocks that the strong
-components of R's non-zero pattern give in topological order, one LU per
-block: the gas R splits into 16 blocks of 64 at n = 5, while a thermal R,
-all non-zero, is one block, the dense LU of R as it is.  scipy is imported
-where it is used, by the steady-state and spectrum solvers only, and
-``scipy.sparse`` only for a pattern that may split into blocks.
+components of R's non-zero pattern give in topological order, found by an
+own Tarjan search: the gas R splits into 16 blocks of 64 at n = 5, while a
+thermal R, all non-zero, is one block, R as it is.  A block of at most 128
+coordinates is solved by ``np.linalg.solve`` in each round; a larger one,
+such as the thermal R at n >= 4, is factored once by LAPACK through
+``scipy.linalg``, and that is the only solve that imports scipy.  Gas and
+two-qubit steady states and the spectrum need numpy alone.
 """
 
 from __future__ import annotations
@@ -237,8 +239,8 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     trace-normalized after the solve; its residual ||L rho|| is
     ||R x|| / |tr rho| on the full R.  A positivity failure beyond 1e-9 is
     an error, not clipped, since it would mask an assembly bug.  Each solve
-    logs D^2, tol, residual, null gap, the number of diagonal blocks and the
-    largest block at DEBUG.
+    logs D^2, tol, residual, null gap, the number of diagonal blocks, the
+    largest block and the number of blocks factored by LAPACK at DEBUG.
     """
     d2 = lam.matrix.shape[0]
     if lam.norm == 0.0:
@@ -252,8 +254,8 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     rho = rho / tr
     residual = float(np.linalg.norm(lam.matrix @ x)) / abs(tr)
     _log.debug(
-        "steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d",
-        d2, tol, residual, gap, len(blocks), max(blocks),
+        "steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d lapack_blocks=%d",
+        d2, tol, residual, gap, len(blocks), max(blocks), sum(size > _NUMPY_MAX_BLOCK for size in blocks),
     )
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
@@ -276,6 +278,10 @@ def _start_block(d2: int) -> np.ndarray:
 
 
 _MIN_BLOCK = 64  # coordinates; smaller consecutive components share one LU
+# coordinates; a larger diagonal block keeps one LAPACK LU for all rounds, a
+# smaller one is solved afresh by np.linalg.solve in each round, which costs
+# no more at this size and needs no scipy (every gas block up to n = 6 is 64)
+_NUMPY_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,10 +310,53 @@ def _triangular_blocks(mat: np.ndarray) -> tuple[_Block, ...]:
     at most ``_MIN_BLOCK`` coordinates, or one whose first row and column
     have no zero (every coordinate then reaches and is reached from the
     first: one component, as in every thermal R), is one block, found
-    without scipy."""
+    without a search."""
     if mat.shape[0] <= _MIN_BLOCK or (np.all(mat[0]) and np.all(mat[:, 0])):
         return _ONE_BLOCK
     return _pattern_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+
+
+def _strong_components(rows: np.ndarray, cols: np.ndarray, d2: int) -> np.ndarray:
+    """Strong-component label of each of the ``d2`` vertices of the digraph
+    with an edge i -> j for each non-zero (i, j) = (rows[k], cols[k]), the
+    non-zeros in row order: Tarjan's algorithm with an explicit stack, so
+    no depth of the graph reaches Python's recursion limit."""
+    ends = np.searchsorted(rows, np.arange(d2 + 1)).tolist()
+    succ = cols.tolist()
+    index, low, comp = [-1] * d2, [0] * d2, [-1] * d2
+    visited, n_comp, found = 0, 0, []
+    for root in range(d2):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        found.append(root)
+        path = [[root, ends[root]]]  # each vertex on the search path and its next edge
+        while path:
+            v, e = path[-1]
+            if e < ends[v + 1]:
+                path[-1][1] = e + 1
+                w = succ[e]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    found.append(w)
+                    path.append([w, ends[w]])
+                elif comp[w] < 0:  # w is still on the component stack
+                    low[v] = min(low[v], index[w])
+                continue
+            path.pop()
+            if path:
+                u = path[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = found.pop()
+                    comp[w] = n_comp
+                    if w == v:
+                        break
+                n_comp += 1
+    return np.array(comp, dtype=np.intp)
 
 
 @functools.lru_cache(maxsize=8)
@@ -321,11 +370,10 @@ def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
     blocks of at least ``_MIN_BLOCK`` coordinates."""
     import graphlib
 
-    from scipy.sparse import coo_array
-    from scipy.sparse.csgraph import connected_components
-
     rows, cols = np.nonzero(np.unpackbits(np.frombuffer(pattern, np.uint8), count=d2 * d2).reshape(d2, d2))
-    n_comp, comp = connected_components(coo_array((np.ones(rows.size), (cols, rows)), shape=(d2, d2)), connection="strong")
+    # the reversed edges i -> j give the same components
+    comp = _strong_components(rows, cols, d2)
+    n_comp = int(comp.max()) + 1
     preds: dict[int, set[int]] = {c: set() for c in range(n_comp)}
     for src, dst in zip(comp[cols].tolist(), comp[rows].tolist()):
         if src != dst:
@@ -358,34 +406,45 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
     sizes of the diagonal blocks.
 
     Each solve with ``mat`` - tol*I is a forward substitution over the
-    diagonal blocks of :func:`_triangular_blocks`, one LU per block; one
-    block is one dense LU of the matrix as it is."""
-    import scipy.linalg
-
+    diagonal blocks of :func:`_triangular_blocks`.  A block of at most
+    ``_NUMPY_MAX_BLOCK`` coordinates is solved by ``np.linalg.solve`` on
+    both columns in each round; a larger one is factored once by LAPACK's
+    ``getrf``, the only use of scipy here.  An exactly singular block, or
+    a solve that overflows, raises :class:`SteadyStateError`."""
     d2 = mat.shape[0]
     blocks = _triangular_blocks(mat)
-    # lu_factor/lu_solve's LAPACK calls minus their wrapper cost, which dominates
-    # at D^2 = 16; an exactly zero pivot shows up as the non-finite check below
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mat,))
-    factors = []
+    singular = f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular"
+    factors, sizes = [], []
     for blk in blocks:
         shifted = np.array(mat) if isinstance(blk.idx, slice) else mat[np.ix_(blk.idx, blk.idx)]
         shifted[np.diag_indices(len(shifted))] -= tol
-        factors.append((blk, *getrf(shifted, overwrite_a=True)[:2], mat[blk.rows, blk.cols] if blk.rows.size else None))
+        sizes.append(len(shifted))
+        lu = None
+        if len(shifted) > _NUMPY_MAX_BLOCK:
+            import scipy.linalg
+
+            # lu_factor/lu_solve's LAPACK calls minus their wrapper cost; an
+            # exactly zero pivot shows up as the non-finite check below
+            getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mat,))
+            lu, shifted = getrf(shifted, overwrite_a=True)[:2], None
+        factors.append((blk, shifted, lu, mat[blk.rows, blk.cols][:, None] if blk.rows.size else None))
 
     block = _start_block(d2)
     for _ in range(3):
         solved = np.empty((d2, 2))
-        # one right-hand side per call: with two BLAS threads a two-column
-        # getrs at D^2 = 16 can take milliseconds, two one-column calls microseconds
-        for b, x in zip(block.T, solved.T):
-            for blk, lu, piv, vals in factors:
-                rhs = b[blk.idx]
-                if vals is not None:
-                    rhs[blk.runs] -= np.add.reduceat(vals * x[blk.cols], blk.starts)
-                x[blk.idx] = getrs(lu, piv, rhs)[0]
+        for blk, shifted, lu, vals in factors:
+            rhs = block[blk.idx]
+            if vals is not None:
+                rhs[blk.runs] -= np.add.reduceat(vals * solved[blk.cols], blk.starts)
+            if lu is not None:  # one getrs per column: a two-column call rounds differently
+                solved[blk.idx] = np.column_stack([getrs(*lu, col)[0] for col in rhs.T])
+                continue
+            try:
+                solved[blk.idx] = np.linalg.solve(shifted, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise SteadyStateError(singular) from exc
         if not np.all(np.isfinite(solved)):
-            raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
+            raise SteadyStateError(singular)
         block, _ = np.linalg.qr(solved)
     # Rayleigh quotients on the iterated subspace; a complex pair has equal
     # moduli, so it is refused below before its eigenvector is used
@@ -397,14 +456,12 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
         raise SteadyStateError("no eigenvalue within tolerance of zero")
     if gap <= tol:
         raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
-    return block @ y[:, order[0]], gap, [len(lu) for _, lu, _, _ in factors]
+    return block @ y[:, order[0]], gap, sizes
 
 
 def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:
     """Full Liouvillian spectrum with eigenvalues grouped within tolerance."""
-    import scipy.linalg
-
-    evals = scipy.linalg.eigvals(lam.matrix)  # R has the eigenvalues of L
+    evals = np.linalg.eigvals(lam.matrix)  # R has the eigenvalues of L
     order = np.lexsort((evals.imag, evals.real))
     reps: list[complex] = []
     members: list[list[complex]] = []

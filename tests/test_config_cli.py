@@ -638,15 +638,27 @@ def test_evolve_command_does_not_load_scipy(tmp_path):
     assert len(out.read_text().splitlines()) == 5 + 9 * 21  # four header lines and the column names
 
 
-def test_two_qubit_steady_command_does_not_load_scipy_sparse(tmp_path):
-    """A D^2 = 16 generator is one diagonal block, so its steady solves
-    need no strong-component search and no ``scipy.sparse``."""
+def test_two_qubit_steady_command_does_not_load_scipy(tmp_path):
+    """A D^2 = 16 generator is one small diagonal block, so its steady
+    solves need no strong-component search and no scipy module."""
     out = tmp_path / "steady.csv"
     args = ["steady", "--config", str(CONFIGS / "toy_model_cut.json"), "--out", str(out)]
-    proc = run_python(f"import sys\nfrom resetlb.cli import main\nprint(main({args!r}), 'scipy.sparse' in sys.modules)")
+    proc = run_python(f"import sys\nfrom resetlb.cli import main\nprint(main({args!r}), 'scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
     assert len(out.read_text().splitlines()) == 5 + 120  # four header lines and the column names
+
+
+def test_gas_measures_command_does_not_load_scipy(tmp_path):
+    """The gas R up to n = 5 splits into diagonal blocks of 64, each solved
+    by numpy, and the strong components come from the own search: a
+    ``measures`` run on the gas config needs no scipy module."""
+    out = tmp_path / "measures.csv"
+    args = ["measures", "--config", str(CONFIGS / "measures_gas.json"), "--no-timestamp", "--out", str(out)]
+    proc = run_python(f"import sys\nfrom resetlb.cli import main\nprint(main({args!r}), 'scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert len(out.read_text().splitlines()) == 4 + 30  # three header lines and the column names
 
 
 def test_experiment_table_names_every_config():

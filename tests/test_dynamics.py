@@ -12,9 +12,11 @@ from resetlb.dynamics import (
     _THETA,
     SteadyStateError,
     _MIN_BLOCK,
+    _NUMPY_MAX_BLOCK,
     _inverse_iteration,
     _ShiftedAction,
     _start_block,
+    _strong_components,
     _taylor_parameters,
     _taylor_steps,
     _triangular_blocks,
@@ -316,9 +318,9 @@ def test_steady_logs_residual_and_null_gap(caplog):
         steady_state(lam)
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
-    d2, tol, residual, gap, blocks, largest = record.args
+    d2, tol, residual, gap, blocks, largest, lapack = record.args
     assert d2 == 16
-    assert (blocks, largest) == (1, 16)
+    assert (blocks, largest, lapack) == (1, 16, 0)
     assert tol == pytest.approx(1e-10 * np.max(np.abs(lam.matrix).sum(axis=1)))
     assert 0.0 <= residual <= 1e-12
     # the null gap estimates the smallest non-zero |eigenvalue| (here 4)
@@ -329,7 +331,13 @@ def test_steady_logs_residual_and_null_gap(caplog):
     with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
         steady_state(measures_gas_generator(5, 10.0))
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
-    assert record.args[0] == 1024 and record.args[4:] == (16, 64)
+    assert record.args[0] == 1024 and record.args[4:] == (16, 64, 0)
+    caplog.clear()
+    # a thermal R is strongly connected: one block of 256, factored by LAPACK
+    with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
+        steady_state(generator_family("thermal", 4, np.random.default_rng(5)))
+    (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
+    assert record.args[0] == 256 and record.args[4:] == (1, 256, 1)
 
 
 # --- block-triangular solves -----------------------------------------------------
@@ -342,17 +350,28 @@ def measures_gas_generator(n, r):
     return assemble(h, gens, n=n)
 
 
-def dense_inverse_iteration(mat, tol):
+def dense_inverse_iteration(mat, tol, lapack=True):
     """Reference: the inverse iteration of :func:`_inverse_iteration` with
-    every solve through one dense LU of ``mat`` - tol*I, as it is."""
+    every solve with ``mat`` - tol*I as it is: through one LAPACK LU, one
+    ``getrs`` per column, or with ``lapack=False`` by ``np.linalg.solve`` on
+    both columns in each round."""
     d2 = mat.shape[0]
     shifted = np.array(mat)
     shifted[np.diag_indices(d2)] -= tol
-    getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
-    lu, piv, _ = getrf(shifted, overwrite_a=True)
+    if lapack:
+        getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
+        lu, piv, _ = getrf(shifted, overwrite_a=True)
+
+        def solve(block):
+            return np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
+    else:
+
+        def solve(block):
+            return np.linalg.solve(shifted, block)
+
     block = _start_block(d2)
     for _ in range(3):
-        block = np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
+        block = solve(block)
         if not np.all(np.isfinite(block)):
             raise SteadyStateError(f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular")
         block, _ = np.linalg.qr(block)
@@ -395,11 +414,12 @@ def test_blocked_solve_matches_dense_lu(n, rates):
 @pytest.mark.parametrize("name", ["gas-2", "gas-3", "thermal-4"])
 def test_one_block_solve_is_the_dense_lu(name, rng):
     """At D^2 <= _MIN_BLOCK and on a strongly connected pattern the solve is
-    one block, the dense LU bit for bit."""
+    one block, bit for bit the dense solve: ``np.linalg.solve`` in each
+    round up to _NUMPY_MAX_BLOCK coordinates, one LAPACK LU above."""
     lam = generator_family("thermal", 4, rng) if name == "thermal-4" else measures_gas_generator(int(name[-1]), 10.0)
     tol = 1e-10 * lam.norm
     x, gap, blocks = _inverse_iteration(lam.matrix, tol)
-    want, want_gap = dense_inverse_iteration(lam.matrix, tol)
+    want, want_gap = dense_inverse_iteration(lam.matrix, tol, lapack=lam.matrix.shape[0] > _NUMPY_MAX_BLOCK)
     assert blocks == [lam.matrix.shape[0]]
     assert np.array_equal(x, want) and gap == want_gap
 
@@ -424,6 +444,72 @@ def test_permuted_generator_is_block_lower_triangular(n):
         assert np.all(block_of[position[blk.rows]] == k) and np.all(block_of[position[blk.cols]] < k)
         left[position[blk.rows], position[blk.cols]] = True
     assert np.array_equal(left, (block_of[:, None] > block_of[None, :]) & (permuted != 0))
+
+
+def same_partition(a, b):
+    """Two labellings of the same vertices give the same partition when
+    their label pairs are as many as the labels of either."""
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == np.unique(a).size == np.unique(b).size
+
+
+def scipy_strong_components(rows, cols, d2):
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(coo_array((np.ones(rows.size), (rows, cols)), shape=(d2, d2)), connection="strong")[1]
+
+
+def digraph(name, rng):
+    """(rows, cols, d2) of a test digraph, its edges in row order."""
+    if name.startswith("gas"):
+        n = int(name[-1])
+        rows, cols = np.nonzero(measures_gas_generator(n, 10.0).matrix)
+        return rows, cols, 4**n
+    if name == "long_cycle":
+        d2 = 3000
+        rows = np.arange(d2)
+        cols = (rows + 1) % d2
+    elif name == "dag":
+        d2 = 300
+        rows, cols = np.nonzero(np.triu(rng.random((d2, d2)) < 0.05, 1))
+    else:  # sparse random, with self-loops; the last tenth of the vertices isolated
+        d2 = 400
+        dense = rng.random((d2, d2)) < {"random_sparse": 0.003, "random_dense": 0.01}[name]
+        dense[np.diag_indices(d2)] |= rng.random(d2) < 0.5
+        dense[-d2 // 10 :] = dense[:, -d2 // 10 :] = False
+        rows, cols = np.nonzero(dense)
+    return rows, cols, d2
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["random_sparse", "random_dense", "long_cycle", "dag", "gas-4", "gas-5", pytest.param("gas-6", marks=pytest.mark.slow)],
+)
+def test_strong_components_match_scipy(name, rng):
+    """The own Tarjan search against ``scipy.sparse.csgraph``: the same
+    partition up to labels.  The long cycle is one search path of 3000
+    vertices, past Python's recursion limit; the gas patterns are R's at
+    n = 4, 5 and, at D^2 = 4096, 6."""
+    rows, cols, d2 = digraph(name, rng)
+    comp = _strong_components(rows, cols, d2)
+    assert same_partition(comp, scipy_strong_components(rows, cols, d2))
+    if name == "long_cycle":
+        assert np.all(comp == comp[0])
+    if name == "dag":
+        assert np.unique(comp).size == d2
+
+
+def test_exactly_singular_block_is_steady_state_error():
+    """With no shift, the zero columns of reset-free dephasing make a
+    diagonal block exactly singular: ``np.linalg.solve`` refuses it, and the
+    solve reports the generator as numerically singular."""
+    n = 4
+    lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
+    assert max(blk.idx.size for blk in _triangular_blocks(lam.matrix)) <= _NUMPY_MAX_BLOCK
+    with pytest.raises(SteadyStateError, match="numerically singular") as info:
+        _inverse_iteration(lam.matrix, 0.0)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_singular_components_in_different_blocks_are_degenerate():
