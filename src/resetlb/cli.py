@@ -124,21 +124,32 @@ def cmd_evolve(cfg: ExperimentConfig, args) -> int:
     points, params = _sweep_points(cfg)
     times = np.linspace(0.0, args.t_max, args.points)
 
-    rows = []
-    for overrides in points:
-        with _at_point(overrides):
-            point = cfg.with_overrides(overrides)
-            lam = build_liouvillian(point)
-            rho0 = initial_state_from_config(point)
-        try:
-            result = evolve(lam, rho0, times)
-        except (qop.DensityMatrixError, ValueError) as exc:
-            raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
-        mats = np.stack([state.matrix for state in result.states])
-        negs = average_negativity(mats).average
-        traces = np.trace(mats, axis1=-2, axis2=-1).real
-        swept = [overrides[p] for p in params]
-        rows.extend(swept + list(row) for row in zip(times, negs, traces, result.min_eigenvalues))
+    # points that differ only in the initial state share their generator,
+    # which is built once for all of them
+    groups: dict[tuple, list[int]] = {}
+    for i, overrides in enumerate(points):
+        key = tuple((p, v) for p, v in overrides.items() if not p.startswith("initial_state."))
+        groups.setdefault(key, []).append(i)
+    point_rows = [None] * len(points)
+    for members in groups.values():
+        lam = None
+        for i in members:
+            overrides = points[i]
+            with _at_point(overrides):
+                point = cfg.with_overrides(overrides)
+                if lam is None:
+                    lam = build_liouvillian(point)
+                rho0 = initial_state_from_config(point)
+            try:
+                result = evolve(lam, rho0, times)
+            except (qop.DensityMatrixError, ValueError) as exc:
+                raise SolverError(f"evolution failed at {overrides}: {exc}") from exc
+            mats = np.stack([state.matrix for state in result.states])
+            negs = average_negativity(mats).average
+            traces = np.trace(mats, axis1=-2, axis2=-1).real
+            swept = [overrides[p] for p in params]
+            point_rows[i] = [swept + list(row) for row in zip(times, negs, traces, result.min_eigenvalues)]
+    rows = [row for block in point_rows for row in block]
     columns = params + ["t", "negativity", "trace", "min_eigenvalue"]
     _write_csv(args.out, cfg, "evolve", columns, rows, args.no_timestamp)
     return 0

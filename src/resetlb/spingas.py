@@ -31,9 +31,12 @@ initial environment positions and then ``n_particles + 2`` uniforms per
 step (moves, then the two exchange decisions).  Per-run streams are
 spawned from ``SeedSequence(config.seed)``, so ensembles are reproducible
 and independent of execution order.  The ensemble draws each run's
-uniforms in chunks of steps; PCG64 spends one 64-bit draw per double, so
-consecutive chunks continue the same stream as a single draw would, and
-the memory held for uniforms does not grow with ``steps``.
+uniforms in chunks of steps, one ``rng.random`` call per run and chunk;
+PCG64 spends one 64-bit draw per double, so consecutive chunks continue
+the same stream as a single draw would.  A chunk keeps only int8 move
+codes and the exchange uniforms, and its float draws pass through a
+buffer for a block of runs at a time, so the memory held for draws
+(``_DRAW_BYTES``) grows with neither ``steps`` nor the run count.
 
 Sweep points share their trajectories: configs with the same lattice,
 ``n_env``, ``steps`` and seed read the same uniforms, and an exchange
@@ -46,6 +49,7 @@ phase bookkeeping per point.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +61,13 @@ LAZY_STAY_PROB = 0.2
 COMPLEX_ESCAPE_PROB = 0.02
 _DROW = np.array([1, -1, 0, 0])
 _DCOL = np.array([0, 0, 1, -1])
-_DRAW_BYTES = 4 * 2**20  # uniforms held at once by _trajectories, all runs
+# draws held at once by _trajectories: half for a chunk's move codes and
+# exchange uniforms (all runs), an eighth for a run block's float uniforms
+# and code scratch.  Those only pass through on their way to the codes, and
+# a block that fits the CPU cache is no slower than a larger one.
+_DRAW_BYTES = 4 * 2**20
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -299,14 +309,14 @@ class EnsembleResult:
 def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
     """Deterministic ensemble average over ``n_runs`` independent runs.
 
-    Uses a compact per-run representation (current pair phase, live
-    environment phases, and running products of retired-qubit damping
-    factors) that is exactly equivalent to the full phase matrix; runs are
-    propagated together as array rows.  Uniforms are drawn per run in
-    chunks of steps (about ``_DRAW_BYTES`` for all runs together) from the
-    same streams ``simulate_run`` reads, so memory is independent of
-    ``steps``.  Per-run matrices are summed in run order, so results are
-    bit-stable for a given (config, n_runs).  Sweep points that differ only
+    Uses a compact per-run representation (pair contacts since the last
+    exchange, live environment phases, and running products of
+    retired-qubit damping factors) that is exactly equivalent to the full
+    phase matrix; runs are propagated together as array rows.  Uniforms
+    are drawn per run in chunks of steps (within ``_DRAW_BYTES`` for all
+    runs together) from the same streams ``simulate_run`` reads, so memory
+    is independent of ``steps``.  Per-run matrices are summed in run
+    order, so results are bit-stable for a given (config, n_runs).  Sweep points that differ only
     in ``psi``, ``phi`` or ``exchange_prob`` share their trajectories (see
     the module notes); :func:`run_ensembles` runs them in one pass, and
     this is its one-point case, with the same bits.
@@ -341,32 +351,56 @@ def _kinematic_key(config: GasConfig) -> tuple:
 
 
 def _chunk_steps(n_runs: int, n_particles: int) -> int:
-    """Steps per chunk of uniforms drawn at once by ``_trajectories``."""
-    return max(1, _DRAW_BYTES // (8 * n_runs * (n_particles + 2)))
+    """Steps per chunk of ``_trajectories``: two int8 move codes per
+    particle and two float64 exchange uniforms per run and step, within
+    half of ``_DRAW_BYTES``."""
+    return max(1, _DRAW_BYTES // 2 // (n_runs * (2 * n_particles + 16)))
 
 
-def _trajectories(config: GasConfig, n_runs: int):
+def _block_runs(n_runs: int, n_particles: int, chunk: int) -> int:
+    """Runs drawn at once into ``_trajectories``' float buffer for a chunk
+    of ``chunk`` steps: ``n_particles + 2`` uniforms, ``_move_codes``' float
+    scratch and its two int8 codes per particle, per run and step, within
+    an eighth of ``_DRAW_BYTES``."""
+    return min(n_runs, max(1, _DRAW_BYTES // 8 // (chunk * (18 * n_particles + 16))))
+
+
+def _trajectories(config: GasConfig, n_runs: int, n_points: int):
     """The shared kinematics of every run: yields, step by step, the sites
     after the move (runs, n_particles) and the step's two exchange uniforms
     (2, runs).  Uniforms are drawn per run in chunks of ``_chunk_steps``
-    steps, and the buffers go with the generator once it is exhausted."""
+    steps, a block of ``_block_runs`` runs at a time, and the buffers go
+    with the generator once it is exhausted.  ``n_points``, the sweep
+    points the pass serves, only enters the DEBUG record."""
     n_p = config.n_particles
     rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(config.seed).spawn(n_runs)]
     site = np.array([_initial_sites(config, rng) for rng in rngs])
 
     nbr = _neighbour_table(config.lattice)
-    chunk = _chunk_steps(n_runs, n_p)
-    # run-major, so each run's draw fills its block in place; the move codes
-    # come out step-major, so every step reads contiguous rows
-    u = np.empty((n_runs, min(chunk, config.steps), n_p + 2))
-    scratch = np.empty((min(chunk, config.steps), n_runs, n_p))
+    chunk = min(_chunk_steps(n_runs, n_p), max(config.steps, 1))
+    block = _block_runs(n_runs, n_p, chunk)
+    # step-major, so every step reads contiguous rows
+    free = np.empty((chunk, n_runs, n_p), dtype=np.int8)
+    stuck = np.empty_like(free)
+    u_exchange = np.empty((chunk, 2, n_runs))
+    # run-major, so each run's draw fills its row of the block in place
+    u = np.empty((block, chunk, n_p + 2))
+    scratch = np.empty((chunk, block, n_p))
+    if _log.isEnabledFor(logging.DEBUG):
+        held = sum(a.nbytes for a in (free, stuck, u_exchange, u, scratch)) + 2 * scratch.size
+        _log.debug(
+            "spin-gas pass: points=%d runs=%d steps=%d chunk_steps=%d block_runs=%d draw_bytes=%d",
+            n_points, n_runs, config.steps, chunk, block, held,
+        )
     for t0 in range(0, config.steps, chunk):
         k = min(chunk, config.steps - t0)
-        for rid, rng in enumerate(rngs):
-            rng.random(out=u[rid, :k])
-        by_step = u[:, :k].transpose(1, 0, 2)
-        free, stuck = _move_codes(by_step[..., :n_p], scratch[:k])
-        u_exchange = by_step[..., n_p:].transpose(0, 2, 1).copy()  # (k, 2, runs)
+        for r0 in range(0, n_runs, block):
+            b = min(block, n_runs - r0)
+            for i, rng in enumerate(rngs[r0 : r0 + b]):
+                rng.random(out=u[i, :k])
+            by_step = u[:b, :k].transpose(1, 0, 2)
+            free[:k, r0 : r0 + b], stuck[:k, r0 : r0 + b] = _move_codes(by_step[..., :n_p], scratch[:k, :b])
+            u_exchange[:k, :, r0 : r0 + b] = by_step[..., n_p:].transpose(0, 2, 1)
         for t in range(k):
             site = _move_sites(site, free[t], stuck[t], nbr)
             yield site, u_exchange[t]
@@ -375,9 +409,12 @@ def _trajectories(config: GasConfig, n_runs: int):
 def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
     """Per-run pair matrices (runs, 4, 4) of each of ``configs``, which must
     share one kinematic key.  One pass of :func:`_trajectories` serves all P
-    points; ``theta`` (P, runs), ``env`` (2, P, runs, n_env) and ``damp``
+    points; ``count`` (P, runs), ``env`` (2, P, runs, n_env) and ``damp``
     (2, P, runs) carry each point's phases, ``env`` and ``damp`` indexed
-    first by system qubit."""
+    first by system qubit.  ``count`` holds the pair contacts since the
+    last exchange, so the pair phase is ``sums[row, count]`` and its
+    exchange factor ``factors[row, count]`` (:func:`_pair_phase_tables`),
+    with ``row`` the point's distinct ``psi``."""
     cfg = configs[0]
     if any(_kinematic_key(c) != _kinematic_key(cfg) for c in configs):
         raise ValueError("configs of one pass must share lattice, n_env, steps and seed")
@@ -385,17 +422,19 @@ def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
     psis, psi_at = _distinct([c.psi for c in configs])
     phis, phi_at = _distinct([c.phi for c in configs])
     pex = np.array([c.exchange_prob for c in configs])[:, None]
-    theta = np.zeros((n_pts, n_runs))
+    count = np.zeros((n_pts, n_runs), dtype=np.intp)
     env = np.zeros((2, n_pts, n_runs, cfg.n_env))
     damp = np.ones((2, n_pts, n_runs), dtype=complex)
     # the same arrays with (point, run) flattened, for the exchanges
-    flat_theta = theta.reshape(-1)
+    flat_count = count.reshape(-1)
     flat_env = env.reshape(2, n_pts * n_runs, cfg.n_env)
     flat_damp = damp.reshape(2, -1)
     point_starts = np.arange(n_pts + 1) * n_runs
+    flat_row = np.repeat(np.broadcast_to(np.arange(psis.size)[psi_at], n_pts), n_runs)
+    sums, factors = _pair_phase_tables(psis, 1)
 
-    for site, u_exchange in _trajectories(cfg, n_runs):
-        theta += (psis[:, None] * (site[:, 0] == site[:, 1]))[psi_at]
+    for site, u_exchange in _trajectories(cfg, n_runs, n_pts):
+        count += site[:, 0] == site[:, 1]
         if cfg.n_env:
             for s in (0, 1):
                 env[s] += (phis[:, None, None] * (site[:, 2:] == site[:, s : s + 1]))[phi_at]
@@ -405,8 +444,12 @@ def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
             idx = np.flatnonzero(exchanged[s])
             if not idx.size:
                 continue
+            contacts = flat_count[idx]
+            need = int(contacts.max()) + 1
+            if need > sums.shape[1]:  # doubling, never past steps + 1 entries
+                sums, factors = _pair_phase_tables(psis, min(max(need, 2 * sums.shape[1]), cfg.steps + 1))
             kept = flat_damp[1 - s, idx]
-            factor = (1.0 + np.exp(1j * flat_theta[idx])) / 2.0
+            factor = factors[flat_row[idx], contacts]
             # numpy can round a complex product differently by vector
             # length (one element skips the fused SIMD loop), so each
             # point multiplies its own runs, as a one-point pass does
@@ -415,20 +458,40 @@ def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
                 if a < b:
                     kept[a:b] *= factor[a:b]
             flat_damp[1 - s, idx] = kept
-            flat_theta[idx] = 0.0
+            flat_count[idx] = 0
             flat_env[s, idx] = 0.0
             flat_damp[s, idx] = 1.0
 
+    need = int(count.max()) + 1
+    if need > sums.shape[1]:
+        sums = _pair_phase_tables(psis, need)[0]
+    theta = sums[flat_row, flat_count].reshape(n_pts, n_runs)
     return [_compact_reduced(theta[p], env[:, p], np.ascontiguousarray(damp[:, p].T)) for p in range(n_pts)]
+
+
+def _pair_phase_tables(psis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, factors), both (len(psis), n): ``sums[i, k]`` is the k-fold
+    repeated sum fl(...fl(0.0 + psi_i) + psi_i...), the pair phase that
+    ``theta += psi_i * contact`` from 0.0 reaches after k contacts (a step
+    without contact adds +-0.0, which leaves such a sum as it is; see
+    :func:`_distinct`), and ``factors`` the exchange factor
+    (1 + exp(i sums)) / 2.  ``np.add.accumulate`` adds in order, so a
+    longer table extends a shorter one bit for bit."""
+    terms = np.empty((psis.size, n))
+    terms[:, 0] = 0.0
+    terms[:, 1:] = psis[:, None]
+    sums = np.add.accumulate(terms, axis=1)
+    return sums, (1.0 + np.exp(1j * sums)) / 2.0
 
 
 def _distinct(values) -> tuple[np.ndarray, np.ndarray | slice]:
     """The distinct ``values`` and an index that maps them back onto the
     points (a plain broadcast when all are equal), so a phase times a
-    contact is computed once per distinct phase.  Merging 0.0 with -0.0
-    cannot change a bit: the accumulated phases are sums that start at
-    0.0, and such a sum is never -0.0, so adding either zero leaves it as
-    it is."""
+    contact, or a table of repeated sums, is computed once per distinct
+    phase.  Merging 0.0 with -0.0 cannot change a bit: the accumulated
+    phases are sums that start at 0.0, and such a sum is never -0.0
+    (0.0 + -0.0 is 0.0), so adding either zero leaves it as it is, and
+    the repeated sums of either zero are all 0.0."""
     distinct, inverse = np.unique(values, return_inverse=True)
     return distinct, (inverse if distinct.size > 1 else slice(None))
 

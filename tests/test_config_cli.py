@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import resetlb
+from resetlb import cli
 from resetlb.cli import main
 from resetlb.config import (
     ConfigError,
@@ -365,30 +366,51 @@ def test_cli_evolve_columns(tmp_path):
         assert abs(tr - 1.0) < 1e-9 and mn > -1e-9
 
 
-def test_cli_evolve_sweep_blocks_equal_unswept_runs(tmp_path):
+def test_cli_evolve_sweep_blocks_equal_unswept_runs(tmp_path, monkeypatch):
+    """Each grid point's rows equal its own unswept run, in grid order, and
+    R is built once per reset rate whichever axis varies fastest."""
     times = ["--t-max", "0.5", "--points", "4", "--no-timestamp"]
-    cfg = gas_cfg_dict(
-        initial_state={"type": "weighted_graph", "phi": 0.0},
-        sweep=[
+    for phi_outer in (False, True):
+        axes = [
             {"param": "reset.r", "min": 1.0, "max": 4.0, "points": 2},
             {"param": "initial_state.phi", "min": 0.0, "max": np.pi, "points": 3},
-        ],
-    )
-    out = tmp_path / "swept.csv"
-    assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out", str(out), *times]) == 0
-    lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-    assert lines[0] == "reset.r,initial_state.phi,t,negativity,trace,min_eigenvalue"
-    rows = [l.split(",") for l in lines[1:]]
-    assert len(rows) == 2 * 3 * 4
-    points = sorted({(r[0], r[1]) for r in rows})
-    assert len(points) == 6
-    for r, phi in points:
-        single = dict(cfg, sweep=[], reset={"r": float(r), "state": "plus"},
-                      initial_state={"type": "weighted_graph", "phi": float(phi)})
-        ref = tmp_path / "single.csv"
-        assert main(["evolve", "--config", write_cfg(tmp_path, single, "single.json"), "--out", str(ref), *times]) == 0
-        want = [l for l in ref.read_text().splitlines() if not l.startswith("#")][1:]
-        assert [",".join(row[2:]) for row in rows if (row[0], row[1]) == (r, phi)] == want
+        ]
+        if phi_outer:
+            axes.reverse()
+        cfg = gas_cfg_dict(initial_state={"type": "weighted_graph", "phi": 0.0}, sweep=axes)
+        builds = []
+        monkeypatch.setattr(cli, "build_liouvillian", lambda point: builds.append(point.reset) or build_liouvillian(point))
+        out = tmp_path / "swept.csv"
+        assert main(["evolve", "--config", write_cfg(tmp_path, cfg), "--out", str(out), *times]) == 0
+        assert [b["r"] for b in builds] == [1.0, 4.0]
+        monkeypatch.undo()
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == ",".join(a["param"] for a in axes) + ",t,negativity,trace,min_eigenvalue"
+        rows = [l.split(",") for l in lines[1:]]
+        assert len(rows) == 2 * 3 * 4
+        grid = list(dict.fromkeys((r[0], r[1]) for r in rows))
+        assert len(grid) == 6
+        assert grid == sorted(grid, key=lambda p: (float(p[0]), float(p[1])))  # last axis fastest
+        for point in grid:
+            r, phi = reversed(point) if phi_outer else point
+            single = dict(cfg, sweep=[], reset={"r": float(r), "state": "plus"},
+                          initial_state={"type": "weighted_graph", "phi": float(phi)})
+            ref = tmp_path / "single.csv"
+            assert main(["evolve", "--config", write_cfg(tmp_path, single, "single.json"), "--out", str(ref), *times]) == 0
+            want = [l for l in ref.read_text().splitlines() if not l.startswith("#")][1:]
+            assert [",".join(row[2:]) for row in rows if (row[0], row[1]) == point] == want
+
+
+def test_cli_evolve_initial_state_sweep_builds_once(tmp_path, monkeypatch):
+    """``time_evolution`` sweeps nine initial states over one generator,
+    so R is built once."""
+    builds = []
+    monkeypatch.setattr(cli, "build_liouvillian", lambda point: builds.append(point) or build_liouvillian(point))
+    out = tmp_path / "evolve.csv"
+    args = ["--config", str(CONFIGS / "time_evolution.json"), "--out", str(out), "--t-max", "2.0", "--points", "3"]
+    assert main(["evolve", *args, "--no-timestamp"]) == 0
+    assert len(builds) == 1
+    assert len(out.read_text().splitlines()) == 4 + 9 * 3  # three header lines and the column names
 
 
 def test_cli_spectrum_rejects_sweep(tmp_path, capsys):
@@ -636,6 +658,25 @@ def test_evolve_command_does_not_load_scipy(tmp_path):
     assert proc.stdout.strip() == "0 False"
     assert proc.stderr.count("error_estimate=") == 9  # one record per sweep point
     assert len(out.read_text().splitlines()) == 5 + 9 * 21  # four header lines and the column names
+
+
+def test_spingas_command_does_not_load_scipy(tmp_path):
+    """A spin-gas sweep needs no scipy module (its peak RSS counts on
+    that), and its 21 points share one kinematic pass."""
+    out = tmp_path / "spingas.csv"
+    args = ["spingas", "--config", str(CONFIGS / "spingas_sweep.json"), "--out", str(out), "--runs", "20"]
+    code = (
+        "import logging, sys\n"
+        "from resetlb.cli import main\n"
+        "logging.basicConfig(level=logging.DEBUG, stream=sys.stderr)\n"
+        f"code = main({args!r})\n"
+        "print(code, 'scipy' in sys.modules)"
+    )
+    proc = run_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert proc.stderr.count("spin-gas pass: points=21 runs=20 steps=5000") == 1
+    assert len(out.read_text().splitlines()) == 5 + 21  # four header lines and the column names
 
 
 def test_two_qubit_steady_command_does_not_load_scipy(tmp_path):

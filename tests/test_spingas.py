@@ -1,4 +1,5 @@
 import json
+import logging
 import tracemalloc
 
 import numpy as np
@@ -23,12 +24,15 @@ from resetlb.spingas import (
 from resetlb.spingas import (
     _DROW,
     _DCOL,
+    _DRAW_BYTES,
+    _block_runs,
     _chunk_steps,
     _compact_ensemble,
     _compact_reduced,
     _move_codes,
     _move_sites,
     _neighbour_table,
+    _pair_phase_tables,
 )
 from resetlb.verify import statevector_reduced
 
@@ -325,16 +329,88 @@ def _full_buffer_ensemble(cfg, n_runs):
 
 @pytest.mark.parametrize("exchange_prob", [0.0, 0.3, 1.0])
 @pytest.mark.parametrize("n_env", [0, 3])
-def test_compact_ensemble_bit_identical_across_chunks(n_env, exchange_prob):
-    n_runs = 2000  # enough runs that a chunk holds only a few dozen steps
-    k = _chunk_steps(n_runs, 2 + n_env)
-    assert 2 <= k <= 100
-    for steps in (0, 1, k - 1, k, k + 1, 3 * k + 5):
-        cfg = GasConfig(
-            lattice=(3, 4), n_env=n_env, psi=0.7, phi=0.3, exchange_prob=exchange_prob, steps=steps, seed=123
-        )
-        (got,) = _compact_ensemble([cfg], n_runs)
-        assert np.array_equal(got, _full_buffer_ensemble(cfg, n_runs)), steps
+def test_compact_ensemble_bit_identical_across_chunks(monkeypatch, n_env, exchange_prob):
+    """At and across chunk edges, with the runs drawn in blocks whose last
+    one is partial: 2000 runs at the default budget, and 50 runs in blocks
+    of under 20 at a small one."""
+    for n_runs, draw_bytes in ((2000, _DRAW_BYTES), (50, 2**16)):
+        monkeypatch.setattr(spingas, "_DRAW_BYTES", draw_bytes)
+        k = _chunk_steps(n_runs, 2 + n_env)  # enough runs that a chunk holds only a few dozen steps
+        assert 2 <= k <= 100
+        assert n_runs % _block_runs(n_runs, 2 + n_env, k)
+        for steps in (0, 1, k - 1, k, k + 1, 3 * k + 5):
+            cfg = GasConfig(
+                lattice=(3, 4), n_env=n_env, psi=0.7, phi=0.3, exchange_prob=exchange_prob, steps=steps, seed=123
+            )
+            (got,) = _compact_ensemble([cfg], n_runs)
+            assert np.array_equal(got, _full_buffer_ensemble(cfg, n_runs)), (n_runs, steps)
+
+
+def test_compact_ensemble_peak_within_draw_budget():
+    """A pass at the benchmark physics (6x6, 8 environment qubits, three
+    exchange points, 1000 runs) holds its draws within ``_DRAW_BYTES``: the
+    traced peak stays below that budget plus the per-point state and the
+    returned per-run matrices, with 1 MiB for the sites, the streams and
+    per-step temporaries.  Holding a whole chunk's float uniforms for all
+    runs peaks at about 12 MB on this physics."""
+    n_runs, n_env = 1000, 8
+    configs = [
+        GasConfig(lattice=(6, 6), n_env=n_env, psi=0.1, phi=0.001, exchange_prob=x, steps=300, seed=4)
+        for x in (0.0, 0.5, 1.0)
+    ]
+    state = len(configs) * n_runs * (8 + 2 * n_env * 8 + 2 * 16)  # count, env, damp
+    returned = len(configs) * n_runs * 16 * 16
+    _compact_ensemble(configs[:1], 10)  # numpy's one-time allocations are not the pass's
+    tracemalloc.start()
+    try:
+        _compact_ensemble(configs, n_runs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _DRAW_BYTES + state + returned + 2**20, peak
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_pair_phase_tables_match_step_loop():
+    """Each row of the tables is what the step loop's ``theta += psi *
+    contact`` and the exchange's ``(1 + exp(1j * theta)) / 2`` give, bit
+    for bit, after every number of contacts; -0.0 sums to +0.0, and a
+    longer table extends a shorter one."""
+    psis = np.array([0.1, -1.3, 0.0, -0.0, 2.0])
+    contact = np.random.default_rng(9).random(500) < 0.6
+    short, short_factors = _pair_phase_tables(psis, 7)
+    sums, factors = _pair_phase_tables(psis, contact.sum() + 1)
+    assert _bits(sums[:, :7]) == _bits(short) and _bits(factors[:, :7]) == _bits(short_factors)
+    theta = np.zeros(psis.size)
+    k = 0
+    for c in contact:
+        theta += psis * c
+        k += c
+        assert _bits(sums[:, k]) == _bits(theta), k
+        for i in range(psis.size):  # one-element factors, as a lone exchange computes them
+            assert _bits(factors[i, k]) == _bits((1.0 + np.exp(1j * theta[i : i + 1])) / 2.0), (i, k)
+    assert not np.signbit(sums[2:4]).any()
+
+
+def test_pass_logs_its_draw_layout(caplog):
+    configs = [GasConfig(lattice=(3, 4), n_env=3, psi=0.7, phi=0.3, exchange_prob=x, steps=40, seed=1) for x in (0.2, 0.6)]
+    with caplog.at_level(logging.DEBUG, logger="resetlb.spingas"):
+        run_ensembles(configs, 30)
+    (record,) = [r for r in caplog.records if r.name == "resetlb.spingas"]
+    assert record.levelno == logging.DEBUG
+    points, runs, steps, chunk, block, held = record.args
+    assert (points, runs, steps) == (2, 30, 40)
+    assert (chunk, block) == (40, 30)  # both capped by the pass itself
+    assert held == chunk * runs * (2 * 5 + 16) + block * chunk * (18 * 5 + 16)
+    assert held <= _DRAW_BYTES
+    assert "block_runs" in record.getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="resetlb.spingas"):
+        run_ensembles(configs, 30)
+    assert not caplog.records
 
 
 def test_compact_ensemble_memory_independent_of_steps():
