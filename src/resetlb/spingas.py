@@ -34,8 +34,9 @@ and independent of execution order.  The ensemble draws each run's
 uniforms in chunks of steps, one ``rng.random`` call per run and chunk;
 PCG64 spends one 64-bit draw per double, so consecutive chunks continue
 the same stream as a single draw would.  A chunk keeps only int8 move
-codes and the exchange uniforms, and its float draws pass through a
-buffer for a block of runs at a time, so the memory held for draws
+codes, the exchange uniforms and uint8 running contact counts (so it
+spans at most 255 steps), and its float draws pass through a buffer for a
+block of runs at a time, so the memory held for draws
 (``_DRAW_BYTES``) grows with neither ``steps`` nor the run count.
 
 Sweep points share their trajectories: configs with the same lattice,
@@ -43,8 +44,13 @@ Sweep points share their trajectories: configs with the same lattice,
 leaves the particle where it is, so they see the same moves and contacts.
 Only the exchange decisions (``u < exchange_prob`` on the same uniforms)
 and the phases ``psi`` and ``phi`` differ.  :func:`run_ensembles` therefore
-draws and moves the particles once for all such points and keeps only the
-phase bookkeeping per point.
+draws and moves the particles once for all such points, and the step loop
+does nothing else: each step adds its contacts to the running counts of
+each system qubit against every later particle.  Once per chunk, each
+point reads from these counts and the chunk's exchange uniforms its new
+contact counts and the exchange factors that reach its final damping (see
+:func:`_compact_ensemble`); phases are read from tables of repeated sums
+of ``psi`` and ``phi`` at the end.
 """
 
 from __future__ import annotations
@@ -66,6 +72,8 @@ _DCOL = np.array([0, 0, 1, -1])
 # and code scratch.  Those only pass through on their way to the codes, and
 # a block that fits the CPU cache is no slower than a larger one.
 _DRAW_BYTES = 4 * 2**20
+# the running contact counts of a chunk are uint8
+_MAX_CHUNK = np.iinfo(np.uint8).max
 
 _log = logging.getLogger(__name__)
 
@@ -310,7 +318,7 @@ def run_ensemble(config: GasConfig, n_runs: int) -> EnsembleResult:
     """Deterministic ensemble average over ``n_runs`` independent runs.
 
     Uses a compact per-run representation (pair contacts since the last
-    exchange, live environment phases, and running products of
+    exchange, live environment contacts, and running products of
     retired-qubit damping factors) that is exactly equivalent to the full
     phase matrix; runs are propagated together as array rows.  Uniforms
     are drawn per run in chunks of steps (within ``_DRAW_BYTES`` for all
@@ -352,9 +360,13 @@ def _kinematic_key(config: GasConfig) -> tuple:
 
 def _chunk_steps(n_runs: int, n_particles: int) -> int:
     """Steps per chunk of ``_trajectories``: two int8 move codes per
-    particle and two float64 exchange uniforms per run and step, within
-    half of ``_DRAW_BYTES``."""
-    return max(1, _DRAW_BYTES // 2 // (n_runs * (2 * n_particles + 16)))
+    particle, two float64 exchange uniforms and the ``2 * (n_particles -
+    1)`` uint8 running contact counts per run and step (with the counts'
+    zero row), within half of ``_DRAW_BYTES``.  A count grows by at most one
+    per step, so at most ``_MAX_CHUNK`` steps keep it within uint8."""
+    row = 2 * (n_particles - 1) * n_runs
+    fit = (_DRAW_BYTES // 2 - row) // (n_runs * (2 * n_particles + 16) + row)
+    return max(1, min(_MAX_CHUNK, fit))
 
 
 def _block_runs(n_runs: int, n_particles: int, chunk: int) -> int:
@@ -365,13 +377,18 @@ def _block_runs(n_runs: int, n_particles: int, chunk: int) -> int:
     return min(n_runs, max(1, _DRAW_BYTES // 8 // (chunk * (18 * n_particles + 16))))
 
 
-def _trajectories(config: GasConfig, n_runs: int, n_points: int):
-    """The shared kinematics of every run: yields, step by step, the sites
-    after the move (runs, n_particles) and the step's two exchange uniforms
-    (2, runs).  Uniforms are drawn per run in chunks of ``_chunk_steps``
-    steps, a block of ``_block_runs`` runs at a time, and the buffers go
-    with the generator once it is exhausted.  ``n_points``, the sweep
-    points the pass serves, only enters the DEBUG record."""
+def _trajectories(config: GasConfig, n_runs: int):
+    """The shared kinematics of every run.  Yields first the draw layout
+    (steps per chunk, runs per block, bytes held), then per chunk of k
+    steps the running contact counts (k + 1, 2, n_particles - 1, runs)
+    uint8 and the exchange uniforms (k, 2, runs).  ``counts[t, s, j]``
+    holds the steps among the chunk's first t in which system slot s shared
+    its site with slot ``j + 1`` (row 0 is zero), so ``counts[:, 0, 0]``
+    is the pair and ``counts[:, s, 1:]`` slot s against each environment
+    particle; column 0 of slot 1 is the slot itself and unused.  Uniforms
+    are drawn per run in chunks of ``_chunk_steps`` steps, a block of
+    ``_block_runs`` runs at a time, and the buffers go with the generator
+    once it is exhausted."""
     n_p = config.n_particles
     rngs = [np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(config.seed).spawn(n_runs)]
     site = np.array([_initial_sites(config, rng) for rng in rngs])
@@ -383,15 +400,11 @@ def _trajectories(config: GasConfig, n_runs: int, n_points: int):
     free = np.empty((chunk, n_runs, n_p), dtype=np.int8)
     stuck = np.empty_like(free)
     u_exchange = np.empty((chunk, 2, n_runs))
+    counts = np.zeros((chunk + 1, 2, n_p - 1, n_runs), dtype=np.uint8)
     # run-major, so each run's draw fills its row of the block in place
     u = np.empty((block, chunk, n_p + 2))
     scratch = np.empty((chunk, block, n_p))
-    if _log.isEnabledFor(logging.DEBUG):
-        held = sum(a.nbytes for a in (free, stuck, u_exchange, u, scratch)) + 2 * scratch.size
-        _log.debug(
-            "spin-gas pass: points=%d runs=%d steps=%d chunk_steps=%d block_runs=%d draw_bytes=%d",
-            n_points, n_runs, config.steps, chunk, block, held,
-        )
+    yield chunk, block, sum(a.nbytes for a in (free, stuck, u_exchange, counts, u, scratch)) + 2 * scratch.size
     for t0 in range(0, config.steps, chunk):
         k = min(chunk, config.steps - t0)
         for r0 in range(0, n_runs, block):
@@ -403,76 +416,115 @@ def _trajectories(config: GasConfig, n_runs: int, n_points: int):
             u_exchange[:k, :, r0 : r0 + b] = by_step[..., n_p:].transpose(0, 2, 1)
         for t in range(k):
             site = _move_sites(site, free[t], stuck[t], nbr)
-            yield site, u_exchange[t]
+            by_slot = site.T.copy()  # compares on contiguous rows are about 3x faster than on the transpose
+            np.add(counts[t], by_slot[1:] == by_slot[:2, None], out=counts[t + 1])
+        yield counts[: k + 1], u_exchange[:k]
 
 
 def _compact_ensemble(configs, n_runs: int) -> list[np.ndarray]:
     """Per-run pair matrices (runs, 4, 4) of each of ``configs``, which must
     share one kinematic key.  One pass of :func:`_trajectories` serves all P
-    points; ``count`` (P, runs), ``env`` (2, P, runs, n_env) and ``damp``
-    (2, P, runs) carry each point's phases, ``env`` and ``damp`` indexed
-    first by system qubit.  ``count`` holds the pair contacts since the
-    last exchange, so the pair phase is ``sums[row, count]`` and its
-    exchange factor ``factors[row, count]`` (:func:`_pair_phase_tables`),
-    with ``row`` the point's distinct ``psi``."""
+    points; each point does its bookkeeping once per chunk, on (steps, runs)
+    arrays.  It carries ``count`` (P, runs), the pair contacts since either
+    qubit's last exchange, ``env`` (2, P, runs, n_env), each system qubit's
+    environment contacts since its own, and ``damp`` (2, 2, P, runs), the
+    real and imaginary parts of each system qubit's product of exchange
+    factors (:func:`_pair_phase_tables`).  Phases are read from the
+    repeated-sum tables of ``psi`` and ``phi`` at the end.
+
+    Only the other slot's exchanges after tau_s, slot s's last own exchange
+    in the chunk, reach its damping (slot 0 exchanges first within a step,
+    and a same-step exchange of slot 1 multiplies slot 0's fresh damping by
+    exactly 1).  The last exchange of either slot before one of these is the
+    run's previous one, or tau_s, which gives its pair count.  The factors
+    are multiplied in time order, one per run and round, as (re fr - im fi,
+    re fi + im fr) in float arithmetic, which rounds alike at every vector
+    length; numpy's complex multiply can round a one-element product
+    differently."""
     cfg = configs[0]
     if any(_kinematic_key(c) != _kinematic_key(cfg) for c in configs):
         raise ValueError("configs of one pass must share lattice, n_env, steps and seed")
     n_pts = len(configs)
     psis, psi_at = _distinct([c.psi for c in configs])
     phis, phi_at = _distinct([c.phi for c in configs])
-    pex = np.array([c.exchange_prob for c in configs])[:, None]
-    count = np.zeros((n_pts, n_runs), dtype=np.intp)
-    env = np.zeros((2, n_pts, n_runs, cfg.n_env))
-    damp = np.ones((2, n_pts, n_runs), dtype=complex)
-    # the same arrays with (point, run) flattened, for the exchanges
-    flat_count = count.reshape(-1)
-    flat_env = env.reshape(2, n_pts * n_runs, cfg.n_env)
-    flat_damp = damp.reshape(2, -1)
-    point_starts = np.arange(n_pts + 1) * n_runs
-    flat_row = np.repeat(np.broadcast_to(np.arange(psis.size)[psi_at], n_pts), n_runs)
+    psi_row = np.broadcast_to(np.arange(psis.size)[psi_at], n_pts)
+    phi_row = np.broadcast_to(np.arange(phis.size)[phi_at], n_pts)
+    tally = np.min_scalar_type(cfg.steps)  # no count passes steps
+    count = np.zeros((n_pts, n_runs), dtype=tally)
+    env = np.zeros((2, n_pts, n_runs, cfg.n_env), dtype=tally)
+    damp = np.zeros((2, 2, n_pts, n_runs))
+    damp[0] = 1.0
     sums, factors = _pair_phase_tables(psis, 1)
+    debug = _log.isEnabledFor(logging.DEBUG)
+    events = rounds = 0
 
-    for site, u_exchange in _trajectories(cfg, n_runs, n_pts):
-        count += site[:, 0] == site[:, 1]
-        if cfg.n_env:
+    chunks = _trajectories(cfg, n_runs)
+    chunk, block, held = next(chunks)
+    runs = np.arange(n_runs)
+    for counts, u_exchange in chunks:
+        k = u_exchange.shape[0]
+        pair = counts[:, 0, 0]
+        stamp = np.arange(1, k + 1, dtype=np.uint8)[:, None]  # step + 1, so 0 is "none"
+        for p, cfg_p in enumerate(configs):
+            exchanged = u_exchange < cfg_p.exchange_prob
+            tau = (exchanged * stamp[:, None]).max(axis=0)  # (2, runs): each slot's last own exchange
             for s in (0, 1):
-                env[s] += (phis[:, None, None] * (site[:, 2:] == site[:, s : s + 1]))[phi_at]
+                e = counts[:, s, 1:]
+                env[s, p] = np.where(tau[s][:, None] == 0, env[s, p] + e[k].T, e[k].T - e[tau[s], :, runs])
+                re, im = damp[0, s, p], damp[1, s, p]
+                fresh = tau[s] > 0  # restarts the product from 1
+                re[fresh] = 1.0
+                im[fresh] = 0.0
+                partner = exchanged[:, 1 - s] & (stamp > tau[s])  # those that reach slot s's damping
+                run, t = np.divmod(np.flatnonzero(partner.T.copy()), k)  # by run, then in time order
+                if not run.size:
+                    continue
+                rank = np.arange(run.size) - np.searchsorted(run, run)
+                # the last exchange of either slot before each of these is
+                # the run's previous one, or tau_s before the first
+                before = np.where(rank > 0, np.concatenate(([0], t[:-1] + 1)), tau[s][run])
+                seen = np.where(before == 0, count[p, run], 0) + (pair[t + 1, run] - pair[before, run])
+                need = int(seen.max()) + 1
+                if need > sums.shape[1]:  # doubling, never past steps + 1 entries
+                    sums, factors = _pair_phase_tables(psis, min(max(need, 2 * sums.shape[1]), cfg.steps + 1))
+                factor = factors[psi_row[p], seen]
+                n_rounds = int(rank.max()) + 1
+                for j in range(n_rounds):  # the j-th factor of every run that has one
+                    at = rank == j
+                    i = run[at]
+                    x, y, fr, fi = re[i], im[i], factor.real[at], factor.imag[at]
+                    re[i] = x * fr - y * fi
+                    im[i] = x * fi + y * fr
+                if debug:
+                    events += run.size
+                    rounds = max(rounds, n_rounds)
+            latest = tau.max(axis=0)
+            count[p] = np.where(latest == 0, count[p] + pair[k], pair[k] - pair[latest, runs])
+    if debug:
+        _log.debug(
+            "spin-gas pass: points=%d runs=%d steps=%d chunk_steps=%d block_runs=%d draw_bytes=%d "
+            "exchange_events=%d max_rounds=%d",
+            n_pts, n_runs, cfg.steps, chunk, block, held, events, rounds,
+        )
 
-        exchanged = (u_exchange[:, None, :] < pex).reshape(2, -1)  # (2, P * runs)
-        for s in (0, 1):
-            idx = np.flatnonzero(exchanged[s])
-            if not idx.size:
-                continue
-            contacts = flat_count[idx]
-            need = int(contacts.max()) + 1
-            if need > sums.shape[1]:  # doubling, never past steps + 1 entries
-                sums, factors = _pair_phase_tables(psis, min(max(need, 2 * sums.shape[1]), cfg.steps + 1))
-            kept = flat_damp[1 - s, idx]
-            factor = factors[flat_row[idx], contacts]
-            # numpy can round a complex product differently by vector
-            # length (one element skips the fused SIMD loop), so each
-            # point multiplies its own runs, as a one-point pass does
-            bounds = np.searchsorted(idx, point_starts)
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                if a < b:
-                    kept[a:b] *= factor[a:b]
-            flat_damp[1 - s, idx] = kept
-            flat_count[idx] = 0
-            flat_env[s, idx] = 0.0
-            flat_damp[s, idx] = 1.0
-
-    need = int(count.max()) + 1
-    if need > sums.shape[1]:
-        sums = _pair_phase_tables(psis, need)[0]
-    theta = sums[flat_row, flat_count].reshape(n_pts, n_runs)
-    return [_compact_reduced(theta[p], env[:, p], np.ascontiguousarray(damp[:, p].T)) for p in range(n_pts)]
+    if int(count.max()) + 1 > sums.shape[1]:
+        sums = _pair_phase_tables(psis, int(count.max()) + 1)[0]
+    phi_sums = _pair_phase_tables(phis, int(env.max(initial=0)) + 1)[0]
+    phases = np.empty((2, n_runs, cfg.n_env))
+    pair_damp = np.empty((n_runs, 2), dtype=complex)
+    out = []
+    for p in range(n_pts):  # one point's phases at a time
+        np.take(phi_sums[phi_row[p]], env[:, p], out=phases)
+        pair_damp.real, pair_damp.imag = damp[0, :, p].T, damp[1, :, p].T
+        out.append(_compact_reduced(sums[psi_row[p], count[p]], phases, pair_damp))
+    return out
 
 
 def _pair_phase_tables(psis: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(sums, factors), both (len(psis), n): ``sums[i, k]`` is the k-fold
     repeated sum fl(...fl(0.0 + psi_i) + psi_i...), the pair phase that
-    ``theta += psi_i * contact`` from 0.0 reaches after k contacts (a step
+    ``theta += psi_i * contact`` from 0.0 reaches after k contacts, and with
+    phi in place of psi an environment phase (a step
     without contact adds +-0.0, which leaves such a sum as it is; see
     :func:`_distinct`), and ``factors`` the exchange factor
     (1 + exp(i sums)) / 2.  ``np.add.accumulate`` adds in order, so a

@@ -278,7 +278,9 @@ def test_neighbour_table_follows_drow_dcol():
 
 def _full_buffer_ensemble(cfg, n_runs):
     """The ensemble as it was before chunked draws: one (runs, steps, n_p+2)
-    uniform draw up front and a pairwise site comparison per step."""
+    uniform draw up front, a pairwise site comparison per step, and each
+    exchange's damping product as (re fr - im fi, re fi + im fr) in float
+    arithmetic."""
     rows, cols = cfg.lattice
     n_p = cfg.n_particles
     streams = np.random.SeedSequence(cfg.seed).spawn(n_runs)
@@ -296,7 +298,7 @@ def _full_buffer_ensemble(cfg, n_runs):
 
     theta = np.zeros(n_runs)
     env = np.zeros((n_runs, cfg.n_env, 2))
-    damp = np.ones((n_runs, 2), dtype=complex)
+    damp_re, damp_im = np.ones((n_runs, 2)), np.zeros((n_runs, 2))
     for t in range(cfg.steps):
         u = u_all[:, t, :n_p]
         site = pos[..., 0] * cols + pos[..., 1]
@@ -319,11 +321,16 @@ def _full_buffer_ensemble(cfg, n_runs):
             m = u_ex[:, s] < cfg.exchange_prob
             if not m.any():
                 continue
-            damp[m, 1 - s] *= (1.0 + np.exp(1j * theta[m])) / 2.0
+            factor = (1.0 + np.exp(1j * theta[m])) / 2.0
+            re, im = damp_re[m, 1 - s], damp_im[m, 1 - s]
+            damp_re[m, 1 - s] = re * factor.real - im * factor.imag
+            damp_im[m, 1 - s] = re * factor.imag + im * factor.real
             theta[m] = 0.0
             if cfg.n_env:
                 env[m, :, s] = 0.0
-            damp[m, s] = 1.0
+            damp_re[m, s], damp_im[m, s] = 1.0, 0.0
+    damp = np.empty((n_runs, 2), dtype=complex)
+    damp.real, damp.imag = damp_re, damp_im
     return _compact_reduced(theta, np.ascontiguousarray(env.transpose(2, 0, 1)), damp)
 
 
@@ -331,9 +338,9 @@ def _full_buffer_ensemble(cfg, n_runs):
 @pytest.mark.parametrize("n_env", [0, 3])
 def test_compact_ensemble_bit_identical_across_chunks(monkeypatch, n_env, exchange_prob):
     """At and across chunk edges, with the runs drawn in blocks whose last
-    one is partial: 2000 runs at the default budget, and 50 runs in blocks
+    one is partial: 2000 runs at the default budget, and 51 runs in blocks
     of under 20 at a small one."""
-    for n_runs, draw_bytes in ((2000, _DRAW_BYTES), (50, 2**16)):
+    for n_runs, draw_bytes in ((2000, _DRAW_BYTES), (51, 2**16)):
         monkeypatch.setattr(spingas, "_DRAW_BYTES", draw_bytes)
         k = _chunk_steps(n_runs, 2 + n_env)  # enough runs that a chunk holds only a few dozen steps
         assert 2 <= k <= 100
@@ -344,6 +351,54 @@ def test_compact_ensemble_bit_identical_across_chunks(monkeypatch, n_env, exchan
             )
             (got,) = _compact_ensemble([cfg], n_runs)
             assert np.array_equal(got, _full_buffer_ensemble(cfg, n_runs)), (n_runs, steps)
+
+
+def _budget_for(chunk, n_runs, n_particles):
+    """The ``_DRAW_BYTES`` at which ``_chunk_steps`` gives ``chunk``."""
+    row = 2 * (n_particles - 1) * n_runs
+    return 2 * (row + chunk * (n_runs * (2 * n_particles + 16) + row))
+
+
+def test_compact_ensemble_same_under_every_chunk_length(monkeypatch):
+    """A four-point pass (distinct psi and phi, -0.0 among them, exchange
+    from 0 to 1) gives the same per-run matrices, equal to the full-buffer
+    reference, in chunks of 1, 2 and 7 steps and at the default budget,
+    where 40 runs hit the 255-step cap."""
+    n_runs, n_env, steps = 40, 3, 300
+    points = [(0.7, 0.3, 0.0), (-0.0, -0.05, 0.05), (0.7, -0.05, 0.5), (-0.0, 0.3, 1.0)]
+    configs = [
+        GasConfig(lattice=(3, 4), n_env=n_env, psi=psi, phi=phi, exchange_prob=x, steps=steps, seed=77)
+        for psi, phi, x in points
+    ]
+    want = [_full_buffer_ensemble(cfg, n_runs) for cfg in configs]
+    for chunk in (1, 2, 7, None):
+        if chunk is None:
+            monkeypatch.setattr(spingas, "_DRAW_BYTES", _DRAW_BYTES)
+            assert _chunk_steps(n_runs, 2 + n_env) == spingas._MAX_CHUNK == 255
+        else:
+            monkeypatch.setattr(spingas, "_DRAW_BYTES", _budget_for(chunk, n_runs, 2 + n_env))
+            assert _chunk_steps(n_runs, 2 + n_env) == chunk
+        for cfg, got, ref in zip(configs, _compact_ensemble(configs, n_runs), want, strict=True):
+            assert np.array_equal(got, ref), (chunk, cfg)
+
+
+def test_compact_ensemble_counts_past_uint8_at_chunk_cap():
+    """One run on a 2x2 lattice with three environment particles: five
+    particles on four sites are in contact most steps, so over 775 steps
+    every contact count of the system qubits passes 255, while each chunk
+    is capped at 255 steps to keep its uint8 running counts from wrapping.
+    A wrapped count would change the pair or environment phase."""
+    base = dict(lattice=(2, 2), n_env=3, steps=3 * 255 + 10, seed=3)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(base["seed"]).spawn(1)[0]))
+    state = new_state(GasConfig(psi=1.0, phi=1.0, exchange_prob=0.0, **base), rng)
+    for _ in range(base["steps"]):
+        step(state, rng)
+    contacts = np.concatenate([state.pm.phases[0, 1:], state.pm.phases[1, 2:]])  # unit phases sum to counts
+    assert contacts.min() > 255
+    assert _chunk_steps(1, 5) == 255
+    configs = [GasConfig(psi=0.7, phi=0.3, exchange_prob=x, **base) for x in (0.0, 0.002)]
+    for cfg, got in zip(configs, _compact_ensemble(configs, 1), strict=True):
+        assert np.array_equal(got, _full_buffer_ensemble(cfg, 1)), cfg
 
 
 def test_compact_ensemble_peak_within_draw_budget():
@@ -401,12 +456,29 @@ def test_pass_logs_its_draw_layout(caplog):
         run_ensembles(configs, 30)
     (record,) = [r for r in caplog.records if r.name == "resetlb.spingas"]
     assert record.levelno == logging.DEBUG
-    points, runs, steps, chunk, block, held = record.args
+    points, runs, steps, chunk, block, held, events, rounds = record.args
     assert (points, runs, steps) == (2, 30, 40)
     assert (chunk, block) == (40, 30)  # both capped by the pass itself
-    assert held == chunk * runs * (2 * 5 + 16) + block * chunk * (18 * 5 + 16)
+    # move codes and exchange uniforms, running contact counts with their
+    # zero row, then the run block's uniforms, float scratch and codes
+    assert held == chunk * runs * (2 * 5 + 16) + (chunk + 1) * runs * 2 * 4 + block * chunk * (18 * 5 + 16)
     assert held <= _DRAW_BYTES
-    assert "block_runs" in record.getMessage()
+    assert "block_runs" in record.getMessage() and "max_rounds" in record.getMessage()
+    # one chunk: each slot's damping multiplies the other slot's exchanges
+    # after its own last one
+    want_events, want_rounds = 0, 0
+    for cfg in configs:
+        for rng in [np.random.Generator(np.random.PCG64(ss)) for ss in np.random.SeedSequence(cfg.seed).spawn(runs)]:
+            rng.random((cfg.n_env, 2))
+            x = rng.random((steps, cfg.n_particles + 2))[:, cfg.n_particles :] < cfg.exchange_prob
+            for s in (0, 1):
+                own = np.flatnonzero(x[:, s])
+                start = 0 if not own.size else own[-1] + 1
+                n = int(x[start:, 1 - s].sum())
+                want_events += n
+                want_rounds = max(want_rounds, n)
+    assert (events, rounds) == (want_events, want_rounds)
+    assert events > 0 and rounds > 1
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="resetlb.spingas"):
         run_ensembles(configs, 30)
