@@ -43,7 +43,7 @@ from resetlb.entanglement import (
     poisson_average_negativity,
     poisson_reduced_negativity,
 )
-from resetlb.liouville import Superoperator, reset_generator
+from resetlb.liouville import affine_family, reset_generator
 from resetlb.spingas import bootstrap_stderr, run_ensembles
 
 
@@ -196,11 +196,12 @@ def cmd_measures(cfg: ExperimentConfig, args) -> int:
             reset_spec_from_config(cfg.with_overrides(overrides).reset, cfg.n_qubits)
 
     # every generator is affine in r: build the r-free part and the unit-rate
-    # reset once per n.  Gradient fields lift degeneracies only at second order
-    # for n > 2, so the multipartite scans need the quasi-degenerate grouping.
+    # reset once per n, on one pattern.  Gradient fields lift degeneracies only
+    # at second order for n > 2, so the multipartite scans need the
+    # quasi-degenerate grouping.
     no_reset = replace(cfg, reset={})
-    generators = {
-        n: (
+    families = {
+        n: affine_family(
             build_liouvillian(no_reset, n, merge_degenerate=True),
             reset_generator(n, reset_spec_from_config({**cfg.reset, "r": 1.0}, n)),
         )
@@ -210,9 +211,9 @@ def cmd_measures(cfg: ExperimentConfig, args) -> int:
     for overrides in points:
         r = overrides["reset.r"]
         states = {}
-        for n, (base, unit) in generators.items():
+        for n, at_rate in families.items():
             try:
-                states[n] = steady_state(Superoperator(base.matrix + r * unit.matrix, n))
+                states[n] = steady_state(at_rate(r))
             except SteadyStateError as exc:
                 raise SolverError(f"steady-state solve failed at r={r}, n={n}: {exc}") from exc
         rows.append(

@@ -1,19 +1,22 @@
 """Time evolution, steady states and spectra of Liouvillian generators.
 
-Every :class:`Superoperator` holds the real generator R, which acts on
-:func:`qop.to_real` coordinates and has the eigenvalues of the complex
-Liouvillian L, so the solvers use ``lam.matrix`` as it is.  :func:`evolve`
-applies expm(R t) to the state by a truncated Taylor series (Al-Mohy and
-Higham, SIAM J. Sci. Comput. 33, 488 (2011)) built from products with the
-non-zeros of R, in numpy alone, and never forms a propagator; its
-Richardson error estimate costs three more such actions and is computed
-only when it is read.  Steady states come from shifted inverse iteration
-on R - tol*I with a two-vector block whose second Rayleigh quotient tests
-the null space for degeneracy; tol is 1e-10 times ``lam.norm``.  Its
-solves are forward substitutions over the diagonal blocks that the strong
-components of R's non-zero pattern give in topological order, found by an
-own Tarjan search: the gas R splits into 16 blocks of 64 at n = 5, while a
-thermal R, all non-zero, is one block, R as it is.  A block of at most 128
+Every :class:`Superoperator` holds the row-ordered non-zeros of the real
+generator R, which acts on :func:`qop.to_real` coordinates and has the
+eigenvalues of the complex Liouvillian L; :func:`evolve` and
+:func:`steady_state` read those non-zeros and never form a dense R, which
+only :func:`spectrum` does.  :func:`evolve` applies expm(R t) to the state
+by a truncated Taylor series (Al-Mohy and Higham, SIAM J. Sci. Comput. 33,
+488 (2011)) built from products with the non-zeros of R, in numpy alone,
+and never forms a propagator; its Richardson error estimate costs three
+more such actions and is computed only when it is read.  Steady states
+come from shifted inverse iteration on R - tol*I with a two-vector block
+whose second Rayleigh quotient tests the null space for degeneracy; tol is
+1e-10 times ``lam.norm``.  Its solves are forward substitutions over the
+diagonal blocks that the strong components of R's non-zero pattern give in
+topological order (Duff and Reid, ACM TOMS 4, 137 (1978)), found by an own
+Tarjan search once per pattern; each block is scattered from its own
+non-zeros.  The gas R splits into 16 blocks of 64 at n = 5, while a thermal
+R, all non-zero, is one block, R as it is.  A block of at most 128
 coordinates is solved by ``np.linalg.solve`` in each round; a larger one,
 such as the thermal R at n >= 4, is factored once by LAPACK through
 ``scipy.linalg``, and that is the only solve that imports scipy.  Gas and
@@ -64,15 +67,17 @@ class _ShiftedAction:
     gathered, multiplied and summed per row, the shift applied as a scalar.
     ``norm`` is ||R - mu I||_1."""
 
-    def __init__(self, mat: np.ndarray):
-        d2 = mat.shape[0]
-        rows, self.cols = np.nonzero(mat)
-        self.vals = mat[rows, self.cols]
-        rows, self.starts = np.unique(rows, return_index=True)
+    def __init__(self, lam: Superoperator):
+        d2 = lam.dim**2
+        rows, self.cols = np.divmod(lam.positions, d2)
+        self.vals = lam.values
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
         # rows without a non-zero get no sum
-        self.rows = slice(None) if rows.size == d2 else rows
-        self.mu = float(np.trace(mat)) / d2
-        diag = np.diagonal(mat)
+        self.rows = slice(None) if self.starts.size == d2 else rows[self.starts]
+        on_diagonal = rows == self.cols
+        diag = np.zeros(d2)
+        diag[rows[on_diagonal]] = self.vals[on_diagonal]
+        self.mu = float(diag.sum()) / d2
         col_sums = np.bincount(self.cols, np.abs(self.vals), minlength=d2) - np.abs(diag) + np.abs(diag - self.mu)
         self.norm = float(np.max(col_sums))
 
@@ -192,7 +197,7 @@ def evolve(lam: Superoperator, rho0: qop.DensityMatrix, times) -> EvolutionResul
     if rho0.dim != lam.dim:
         raise ValueError("dimension mismatch between state and generator")
 
-    action = _ShiftedAction(lam.matrix)
+    action = _ShiftedAction(lam)
     edges = np.concatenate(([0.0], times))
     steps = np.diff(edges)
     x = qop.to_real(rho0.matrix)
@@ -240,22 +245,24 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     ||R x|| / |tr rho| on the full R.  A positivity failure beyond 1e-9 is
     an error, not clipped, since it would mask an assembly bug.  Each solve
     logs D^2, tol, residual, null gap, the number of diagonal blocks, the
-    largest block and the number of blocks factored by LAPACK at DEBUG.
+    largest block and the number of blocks factored by LAPACK at DEBUG,
+    after the number of stored non-zeros.
     """
-    d2 = lam.matrix.shape[0]
+    d2 = lam.dim**2
     if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
     tol = 1e-10 * lam.norm
-    x, gap, blocks = _inverse_iteration(lam.matrix, tol)
+    x, rx, gap, blocks = _inverse_iteration(lam, tol)
     rho = qop.from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
-    residual = float(np.linalg.norm(lam.matrix @ x)) / abs(tr)
+    residual = float(np.linalg.norm(rx)) / abs(tr)
     _log.debug(
-        "steady state: D^2=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d lapack_blocks=%d",
-        d2, tol, residual, gap, len(blocks), max(blocks), sum(size > _NUMPY_MAX_BLOCK for size in blocks),
+        "steady state: D^2=%d nnz=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d lapack_blocks=%d",
+        d2, lam.values.size, tol, residual, gap,
+        len(blocks), max(blocks), sum(size > _NUMPY_MAX_BLOCK for size in blocks),
     )
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
@@ -287,33 +294,42 @@ _NUMPY_MAX_BLOCK = 128
 @dataclass(frozen=True, eq=False)
 class _Block:
     """A diagonal block of R in block-triangular order: its coordinates
-    ``idx``, ascending (``slice(None)`` when the block is all of R), the
-    non-zeros R[rows, cols] left of it, and the block-local row and start
+    ``idx``, ascending (``slice(None)`` when the block is all of R); the
+    stored non-zeros inside it, ``inside``, as indices into R's values, at
+    block-local row-major positions ``local`` (``None`` when the block is
+    all of R: R's own positions); and those left of it,
+    ``left``, with their columns ``cols`` and the block-local row and start
     of each run of equal rows among them, ``runs`` and ``starts``, as
     ``np.add.reduceat`` takes them."""
 
     idx: np.ndarray | slice
-    rows: np.ndarray
+    inside: np.ndarray | slice
+    local: np.ndarray | None
+    left: np.ndarray
     cols: np.ndarray
     runs: np.ndarray
     starts: np.ndarray
 
 
 _NONE = np.zeros(0, dtype=np.intp)
-_ONE_BLOCK = (_Block(slice(None), _NONE, _NONE, _NONE, _NONE),)
+_ONE_BLOCK = (_Block(slice(None), slice(None), None, _NONE, _NONE, _NONE, _NONE),)
 
 
-def _triangular_blocks(mat: np.ndarray) -> tuple[_Block, ...]:
-    """The diagonal blocks of ``mat`` in an order of its coordinates under
-    which it is block lower triangular, from the strong components of its
-    non-zero pattern (Tarjan, SIAM J. Comput. 1, 146 (1972)).  A matrix of
-    at most ``_MIN_BLOCK`` coordinates, or one whose first row and column
-    have no zero (every coordinate then reaches and is reached from the
-    first: one component, as in every thermal R), is one block, found
-    without a search."""
-    if mat.shape[0] <= _MIN_BLOCK or (np.all(mat[0]) and np.all(mat[:, 0])):
+def _triangular_blocks(positions: np.ndarray, d2: int) -> tuple[_Block, ...]:
+    """The diagonal blocks of the D^2 x D^2 pattern of row-major non-zero
+    ``positions`` in an order of its coordinates under which it is block
+    lower triangular, from the strong components of the pattern (Tarjan,
+    SIAM J. Comput. 1, 146 (1972)).  A pattern of at most ``_MIN_BLOCK``
+    coordinates, or one whose first row and column are full (every
+    coordinate then reaches and is reached from the first: one component,
+    as in every thermal R), is one block, found without a search."""
+    if d2 <= _MIN_BLOCK:
         return _ONE_BLOCK
-    return _pattern_blocks(mat.shape[0], np.packbits(mat != 0).tobytes())
+    column = np.arange(0, d2 * d2, d2)  # column 0 of every row
+    row_full = positions.size >= d2 and positions[d2 - 1] == d2 - 1
+    if row_full and np.array_equal(positions.take(np.searchsorted(positions, column), mode="clip"), column):
+        return _ONE_BLOCK
+    return _pattern_blocks(d2, positions.tobytes())
 
 
 def _strong_components(rows: np.ndarray, cols: np.ndarray, d2: int) -> np.ndarray:
@@ -361,8 +377,9 @@ def _strong_components(rows: np.ndarray, cols: np.ndarray, d2: int) -> np.ndarra
 
 @functools.lru_cache(maxsize=8)
 def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
-    """:func:`_triangular_blocks` of a packed D^2 x D^2 non-zero pattern.
-    Cached: it depends on the pattern only, which a sweep over rates keeps.
+    """:func:`_triangular_blocks` of the row-major non-zero positions in
+    ``pattern``, as bytes.  Cached: it depends on the pattern only, which a
+    sweep over rates keeps.
 
     An edge j -> i stands for R[i, j] != 0.  The components go in a
     topological order of their condensation, so every non-zero sits in or
@@ -370,7 +387,8 @@ def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
     blocks of at least ``_MIN_BLOCK`` coordinates."""
     import graphlib
 
-    rows, cols = np.nonzero(np.unpackbits(np.frombuffer(pattern, np.uint8), count=d2 * d2).reshape(d2, d2))
+    positions = np.frombuffer(pattern, dtype=np.intp)
+    rows, cols = np.divmod(positions, d2)
     # the reversed edges i -> j give the same components
     comp = _strong_components(rows, cols, d2)
     n_comp = int(comp.max()) + 1
@@ -388,51 +406,73 @@ def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
     if last == 0:
         return _ONE_BLOCK
     coord_block = block_of[comp]
-    left = coord_block[rows] > coord_block[cols]
-    rows, cols = rows[left], cols[left]  # still in row order
+    row_block, col_block = coord_block[rows], coord_block[cols]
+    local = np.empty(d2, dtype=np.intp)
     blocks = []
     for k in range(last + 1):
         idx = np.flatnonzero(coord_block == k)
-        mine = coord_block[rows] == k
-        starts = np.flatnonzero(np.diff(rows[mine], prepend=-1))
-        blocks.append(_Block(idx, rows[mine], cols[mine], np.searchsorted(idx, rows[mine][starts]), starts))
+        local[idx] = np.arange(idx.size)
+        inside = np.flatnonzero((row_block == k) & (col_block == k))
+        left = np.flatnonzero((row_block == k) & (col_block < k))  # in row order
+        starts = np.flatnonzero(np.diff(rows[left], prepend=-1))
+        at = local[rows[inside]] * idx.size + local[cols[inside]]
+        blocks.append(_Block(idx, inside, at, left, cols[left], local[rows[left][starts]], starts))
     return tuple(blocks)
 
 
-def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, list[int]]:
-    """Shifted inverse iteration on the real ``mat`` targeting 0 from
-    :func:`_start_block`; returns the null vector, the null gap |theta_2|,
-    whose falling within ``tol`` marks a degenerate null space, and the
-    sizes of the diagonal blocks.
+def _inverse_iteration(lam: Superoperator, tol: float) -> tuple[np.ndarray, np.ndarray, float, list[int]]:
+    """Shifted inverse iteration on R targeting 0 from :func:`_start_block`;
+    returns the null vector x, R x, the null gap |theta_2|, whose falling
+    within ``tol`` marks a degenerate null space, and the sizes of the
+    diagonal blocks.
 
-    Each solve with ``mat`` - tol*I is a forward substitution over the
-    diagonal blocks of :func:`_triangular_blocks`.  A block of at most
-    ``_NUMPY_MAX_BLOCK`` coordinates is solved by ``np.linalg.solve`` on
-    both columns in each round; a larger one is factored once by LAPACK's
-    ``getrf``, the only use of scipy here.  An exactly singular block, or
-    a solve that overflows, raises :class:`SteadyStateError`."""
-    d2 = mat.shape[0]
-    blocks = _triangular_blocks(mat)
+    Each diagonal block of :func:`_triangular_blocks` is scattered from its
+    own non-zeros, and each solve with R - tol*I is a forward substitution
+    over them.  A block of at most ``_NUMPY_MAX_BLOCK`` coordinates is
+    solved by ``np.linalg.solve`` on both columns in each round; a larger
+    one is factored once by LAPACK's ``getrf``, the only use of scipy here.
+    The Rayleigh quotients and R x are products block by block: the dense
+    diagonal block times its coordinates plus its left non-zeros gathered.
+    An exactly singular block, or a solve that overflows, raises
+    :class:`SteadyStateError`."""
+    d2 = lam.dim**2
     singular = f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular"
     factors, sizes = [], []
-    for blk in blocks:
-        shifted = np.array(mat) if isinstance(blk.idx, slice) else mat[np.ix_(blk.idx, blk.idx)]
-        shifted[np.diag_indices(len(shifted))] -= tol
-        sizes.append(len(shifted))
+    for blk in _triangular_blocks(lam.positions, d2):
+        size = d2 if isinstance(blk.idx, slice) else blk.idx.size
+        values = lam.values[blk.inside]
+        if values.size == size * size:  # a full block: its values in row-major order
+            dense = values.reshape(size, size)
+        else:
+            dense = np.zeros((size, size))
+            dense.reshape(-1)[lam.positions if blk.local is None else blk.local] = values
+        shifted = np.array(dense)
+        shifted[np.diag_indices(size)] -= tol
+        sizes.append(size)
         lu = None
-        if len(shifted) > _NUMPY_MAX_BLOCK:
+        if size > _NUMPY_MAX_BLOCK:
             import scipy.linalg
 
             # lu_factor/lu_solve's LAPACK calls minus their wrapper cost; an
             # exactly zero pivot shows up as the non-finite check below
-            getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (mat,))
+            getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
             lu, shifted = getrf(shifted, overwrite_a=True)[:2], None
-        factors.append((blk, shifted, lu, mat[blk.rows, blk.cols][:, None] if blk.rows.size else None))
+        factors.append((blk, dense, shifted, lu, lam.values[blk.left][:, None] if blk.left.size else None))
+
+    def product(v: np.ndarray) -> np.ndarray:
+        """R v for a (D^2, k) block v."""
+        out = np.empty_like(v)
+        for blk, dense, _, _, vals in factors:
+            part = dense @ v[blk.idx]
+            if vals is not None:
+                part[blk.runs] += np.add.reduceat(vals * v[blk.cols], blk.starts)
+            out[blk.idx] = part
+        return out
 
     block = _start_block(d2)
     for _ in range(3):
         solved = np.empty((d2, 2))
-        for blk, shifted, lu, vals in factors:
+        for blk, _, shifted, lu, vals in factors:
             rhs = block[blk.idx]
             if vals is not None:
                 rhs[blk.runs] -= np.add.reduceat(vals * solved[blk.cols], blk.starts)
@@ -448,7 +488,7 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
         block, _ = np.linalg.qr(solved)
     # Rayleigh quotients on the iterated subspace; a complex pair has equal
     # moduli, so it is refused below before its eigenvector is used
-    small = block.T @ (mat @ block)
+    small = block.T @ product(block)
     theta, y = np.linalg.eig(small)
     order = np.argsort(np.abs(theta))
     gap = float(abs(theta[order[1]]))
@@ -456,7 +496,8 @@ def _inverse_iteration(mat: np.ndarray, tol: float) -> tuple[np.ndarray, float, 
         raise SteadyStateError("no eigenvalue within tolerance of zero")
     if gap <= tol:
         raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
-    return block @ y[:, order[0]], gap, sizes
+    x = block @ y[:, order[0]]
+    return x, product(x[:, None])[:, 0], gap, sizes
 
 
 def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:

@@ -2,20 +2,27 @@
 
 Every builder writes the real generator R = Re L - Im(L) P of the
 column-stacked Liouvillian L (P the vec transpose), d/dt x = R x on
-x = :func:`qop.to_real` (rho), into a :class:`Superoperator`; building one is
-the only check of the Lindblad contract the solvers rely on.  Spin
-Hamiltonians, one table row per kind, are written by bit arithmetic on the
-basis index; ``-i[H, rho]`` is written by :func:`assemble` straight into the
-one D^2 x D^2 result, so that dissipators can be combined freely.  The
-single-qubit generators (local noise, dephasing, reset) are placed as 4x4
-blocks by vec-index arithmetic, in O(n 4^n) work.  The thermal part is a
-rank-D population transfer plus one-sided products with a D x D matrix,
-also written by vec-index arithmetic; its cost is one D^2 x D x D^2 product.
+x = :func:`qop.to_real` (rho), into a dense work array and hands it to a
+:class:`Superoperator`, which keeps only R's non-zeros in row order; building
+one is the only check of the Lindblad contract the solvers rely on, and the
+solvers read the non-zeros, never a dense R.  Spin Hamiltonians, one table
+row per kind, are written by bit arithmetic on the basis index;
+``-i[H, rho]`` is written by :func:`assemble` straight into the one D^2 x D^2
+buffer of the result, and each generator's non-zeros are added into it, so
+that dissipators can be combined freely.  The single-qubit generators (local
+noise, dephasing, reset) are placed as 4x4 blocks by vec-index arithmetic,
+in O(n 4^n) work.  The thermal part is a rank-D population transfer plus
+one-sided products with a D x D matrix, also written by vec-index
+arithmetic; its cost is one D^2 x D x D^2 product, and it is stored whole.
+:func:`affine_family` puts two generators on one pattern, so that a sweep
+over a rate costs O(non-zeros) per point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import functools
+import math
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
@@ -24,57 +31,98 @@ from resetlb.qop import left_right_superop, n_qubits_of
 
 TRACE_ROW_TOL = 1e-10
 _DEGENERACY_TOL = 1e-8
-_SCALE_BYTES = 2**19  # |R| rows held at once while Superoperator takes norm and peak
+_SCALE_VALUES = 2**16  # |R| values held at once while Superoperator takes norm and peak
 
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Dense real D^2 x D^2 generator R on :func:`qop.to_real` coordinates;
-    any real R preserves Hermiticity.
+    """Real D^2 x D^2 generator R on :func:`qop.to_real` coordinates, stored
+    as its non-zeros in row order; any real R preserves Hermiticity.
+
+    ``Superoperator(mat, n)`` copies the non-zeros out of a dense ``mat``,
+    which stays the caller's.  ``Superoperator(values, n, positions)``
+    stores the values at ascending row-major ``positions`` (row * D^2 +
+    column) as they are, not copied, so that generators on one pattern
+    share it.  ``positions`` and ``values`` are made read-only; ``matrix``
+    builds a fresh dense R on each read.
 
     Construction refuses a complex matrix, non-finite entries and trace-row
-    (the diagonal rows of R) sums beyond ``TRACE_ROW_TOL`` x max(1, max|R|).
-    ``norm`` is the inf-norm (largest absolute row sum); it and max|R| are
-    taken over blocks of rows of about ``_SCALE_BYTES``, so no D^2 x D^2
-    temporary is made.
-
-    Construction takes ownership of a float64 ``matrix``: it is stored, not
-    copied, and made read-only; pass a copy to keep writing into it.
+    (the diagonal rows of R) sums beyond ``TRACE_ROW_TOL`` x max(1, max|R|),
+    all checked on the stored values.  ``norm`` is the inf-norm (largest
+    absolute row sum of the stored values, in row order); it and max|R| are
+    taken over blocks of rows of about ``_SCALE_VALUES`` values, so no
+    temporary of the size of R is made.
     """
 
-    matrix: np.ndarray
+    entries: InitVar[np.ndarray]
     n_qubits: int
+    positions: np.ndarray | None = field(default=None, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
     norm: float = field(init=False, repr=False)
 
-    def __post_init__(self):
-        if np.iscomplexobj(self.matrix):
+    def __post_init__(self, entries):
+        if np.iscomplexobj(entries):
             raise ValueError("superoperator must be real: build R = Re L - Im(L) P, not L")
-        mat = np.asarray(self.matrix, dtype=float)
         d = 2**self.n_qubits
-        if mat.shape != (d * d, d * d):
-            raise ValueError(f"superoperator shape {mat.shape} does not match n={self.n_qubits}")
+        d2 = d * d
+        if self.positions is None:
+            mat = np.asarray(entries, dtype=float)
+            if mat.shape != (d2, d2):
+                raise ValueError(f"superoperator shape {mat.shape} does not match n={self.n_qubits}")
+            positions = np.flatnonzero(mat != 0)
+            values = mat.ravel()[positions]
+        else:
+            positions, values = np.asarray(self.positions, dtype=np.intp), np.asarray(entries, dtype=float)
+            if positions.ndim != 1 or values.shape != positions.shape:
+                raise ValueError("superoperator values and positions must be 1-D of one length")
+            outside = positions.size and (positions[0] < 0 or positions[-1] >= d2 * d2)
+            if outside or np.any(positions[1:] <= positions[:-1]):
+                raise ValueError(f"superoperator positions must ascend within 0..{d2 * d2 - 1}")
+        ends = np.searchsorted(positions, np.arange(0, d2 * d2 + 1, d2))  # row starts, then the end
+        bounds = ends.tolist()
         norm = peak = 0.0
-        rows = max(1, _SCALE_BYTES // (8 * d * d))
-        for start in range(0, d * d, rows):
-            magnitude = np.abs(mat[start : start + rows])
-            block_norm = float(magnitude.sum(axis=1).max())
-            if not np.isfinite(block_norm):
+        rows = max(1, _SCALE_VALUES * d2 // max(1, positions.size))
+        for first in range(0, d2, rows):
+            lo, hi = bounds[first], bounds[min(first + rows, d2)]
+            if lo == hi:
+                continue
+            magnitude = np.abs(values[lo:hi])
+            # an empty row starts where the next one does, and reduceat gives it
+            # that row's first entry alone, which never exceeds that row's sum
+            starts = ends[first : first + rows] - lo
+            block_norm = float(np.add.reduceat(magnitude, starts[starts < hi - lo]).max())
+            if not math.isfinite(block_norm):
                 raise ValueError("superoperator has non-finite entries")
             norm, peak = max(norm, block_norm), max(peak, float(magnitude.max()))
-        if np.max(np.abs(mat[:: d + 1].sum(axis=0))) > TRACE_ROW_TOL * max(1.0, peak):
+        trace = np.concatenate([np.arange(a, b) for a, b in zip(bounds[: d2 : d + 1], bounds[1 :: d + 1])])
+        drift = np.bincount(positions[trace] % d2, values[trace], minlength=d2)
+        if np.abs(drift).max() > TRACE_ROW_TOL * max(1.0, peak):
             raise ValueError("superoperator is not trace preserving")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        positions.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "norm", norm)
 
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense R, scattered from the non-zeros into a new read-only array."""
+        d2 = self.dim**2
+        mat = np.zeros(d2 * d2)
+        mat[self.positions] = self.values
+        mat.setflags(write=False)
+        return mat.reshape(d2, d2)
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Action on a Hermitian ``rho``, as a matrix; R represents L on no other."""
         _require_hermitian(rho, "rho")
-        return qop.from_real(self.matrix @ qop.to_real(rho))
+        rows, cols = np.divmod(self.positions, self.dim**2)
+        x = qop.to_real(rho)
+        return qop.from_real(np.bincount(rows, self.values * x[cols], minlength=x.size))
 
 
 def _require_hermitian(mat: np.ndarray, what: str) -> None:
@@ -284,15 +332,28 @@ def _embed_local(mat: np.ndarray, n: int, site: int, block: np.ndarray) -> None:
     column bit at 2n-1-site; l is diagonal in every other bit.  Re l goes to
     (idx, idx), -Im l to (idx, swap(idx)): the vec transpose swaps every site.
     """
+    rows, cols, swapped = _local_indices(n, site)
+    mat[rows, cols] += block.real[:, :, None]
+    if block.imag.any():
+        mat[rows, swapped] -= block.imag[:, :, None]
+
+
+@functools.lru_cache(maxsize=64)
+def _local_indices(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and vec-transposed column indices, broadcast to
+    (4, 4, 4^n / 4), at which :func:`_embed_local` writes the 4x4 block of
+    ``site``.  Cached: they depend on n and the site only, and every
+    generator of a sweep point rewrites them."""
     row_bit, col_bit = n - 1 - site, 2 * n - 1 - site
     k = np.arange(4**n)
     rest = k[(k & ((1 << row_bit) | (1 << col_bit))) == 0]
     local = np.array([(c << col_bit) | (r << row_bit) for c in (0, 1) for r in (0, 1)])
     idx = rest + local[:, None]
-    mat[idx[:, None, :], idx[None, :, :]] += block.real[:, :, None]
-    if block.imag.any():
-        swapped = (idx % 2**n) << n | idx >> n
-        mat[idx[:, None, :], swapped[None, :, :]] -= block.imag[:, :, None]
+    swapped = (idx % 2**n) << n | idx >> n
+    indices = idx[:, None, :], idx[None, :, :], swapped[None, :, :]
+    for array in indices:
+        array.flags.writeable = False
+    return indices
 
 
 # unit-rate decay, pumping and dephasing blocks: rate * block has the bits of
@@ -409,7 +470,8 @@ def thermal_generator(
     t = w.real - w.imag
     mat = (t @ rate.T) @ t.T
     _add_sides(mat, k_half, k_half)
-    return Superoperator(mat, n)
+    # R is stored whole, every entry in row-major order: the buffer is its values
+    return Superoperator(mat.reshape(-1), n, np.arange(mat.size))
 
 
 def _lowering_elements(vecs: np.ndarray, j: int) -> np.ndarray:
@@ -436,8 +498,9 @@ def _add_sides(mat: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
 
 
 def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superoperator:
-    """Total generator -i[H, .] + sum of dissipative generators; a
-    non-Hermitian H is refused."""
+    """Total generator -i[H, .] + sum of dissipative generators, each
+    generator's non-zeros added into the one D^2 x D^2 buffer of the result;
+    a non-Hermitian H is refused."""
     gens = list(generators)
     if h is None and not gens:
         raise ValueError("nothing to assemble")
@@ -450,8 +513,34 @@ def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superope
             raise ValueError("Hamiltonian dimension mismatch")
         _require_hermitian(h, "Hamiltonian")
         _add_sides(mat, -1j * h, 1j * h)
+    flat = mat.reshape(-1)
     for gen in gens:
         if gen.n_qubits != n:
             raise ValueError("generator dimension mismatch")
-        mat += gen.matrix
+        if gen.values.size == flat.size:  # a full pattern: the values are R in row-major order
+            flat += gen.values
+        else:
+            flat[gen.positions] += gen.values
     return Superoperator(mat, n)
+
+
+def affine_family(base: Superoperator, unit: Superoperator):
+    """r -> ``base`` + r ``unit``, each a :class:`Superoperator` on the union
+    of the two patterns, in O(non-zeros) work per r.  A position outside
+    ``unit``'s pattern keeps ``base``'s value, which is base + r * 0
+    exactly, so every stored value is the one of the dense sum."""
+    if base.n_qubits != unit.n_qubits:
+        raise ValueError("generator dimension mismatch")
+    positions, start = base.positions, base.values
+    new = ~np.isin(unit.positions, positions, assume_unique=True)
+    if new.any():  # unit's positions missing from base's go in, with value 0, where they sort
+        slots = np.searchsorted(positions, unit.positions[new])
+        positions, start = np.insert(positions, slots, unit.positions[new]), np.insert(start, slots, 0.0)
+    at, unit_values, n = np.searchsorted(positions, unit.positions), unit.values, base.n_qubits
+
+    def at_rate(r: float) -> Superoperator:
+        values = start.copy()
+        values[at] += r * unit_values
+        return Superoperator(values, n, positions)
+
+    return at_rate

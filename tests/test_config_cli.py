@@ -21,7 +21,8 @@ from resetlb.config import (
     parse_config,
     reset_spec_from_config,
 )
-from resetlb.liouville import HamiltonianSpec, ResetSpec, build_hamiltonian, reset_generator
+from resetlb.dynamics import evolve, steady_state
+from resetlb.liouville import HamiltonianSpec, ResetSpec, Superoperator, build_hamiltonian, reset_generator
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -700,6 +701,40 @@ def test_gas_measures_command_does_not_load_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
     assert len(out.read_text().splitlines()) == 4 + 30  # three header lines and the column names
+
+
+def test_solvers_never_read_the_dense_matrix(monkeypatch, tmp_path):
+    """steady_state, evolve and the measures command work on the stored
+    non-zeros of R: a counting ``Superoperator.matrix`` sees no read, at
+    n = 2 (one block) and n = 5 (16 blocks) and through the whole
+    ``measures_gas`` run."""
+    reads, dense = [], Superoperator.matrix
+    monkeypatch.setattr(Superoperator, "matrix", property(lambda self: reads.append(self) or dense.fget(self)))
+    cfg = parse_config(str(CONFIGS / "measures_gas.json"))
+    for n in (2, 5):
+        point = replace(cfg, n_qubits=n)
+        lam = build_liouvillian(point)
+        steady_state(lam)
+        evolve(lam, initial_state_from_config(point), [0.0, 0.01, 0.02])
+    out = tmp_path / "measures.csv"
+    assert main(["measures", "--config", str(CONFIGS / "measures_gas.json"), "--no-timestamp", "--out", str(out)]) == 0
+    assert reads == []
+
+
+def test_five_qubit_measures_build_holds_one_matrix():
+    """Each generator keeps only its non-zeros and ``assemble`` scatters them
+    into the one D^2 x D^2 buffer of the result: building the n = 5
+    ``measures_gas`` generator allocates at most 1.5 dense 8 MiB matrices."""
+    import tracemalloc
+
+    cfg = parse_config(str(CONFIGS / "measures_gas.json"))
+    tracemalloc.start()
+    try:
+        build_liouvillian(cfg, 5, merge_degenerate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 8 * 2**20
 
 
 def test_experiment_table_names_every_config():

@@ -96,7 +96,7 @@ def test_evolve_logs_steps_and_error_estimate(caplog, rng):
     assert record.levelno == logging.DEBUG
     d2, steps, taylor, err = record.args
     assert (d2, steps) == (16, 2)  # runs of equal steps: 0.3 once, 0.7 twice
-    norm = _ShiftedAction(lam.matrix).norm
+    norm = _ShiftedAction(lam).norm
     assert taylor == [_taylor_parameters(norm * 0.3), _taylor_parameters(norm * (1.7 - 0.3) / 2)]
     assert err == res.error_estimate
     assert "(m, s)" in record.getMessage() and "error_estimate" in record.getMessage()
@@ -130,7 +130,7 @@ def test_error_estimate_is_computed_on_first_read(monkeypatch, caplog, rng):
     assert len(calls) == 5  # the largest step and its two halves
     assert res.error_estimate == err and len(calls) == 5
     # eager recomputation: the largest step, 0.7, starts from the state at 0.3
-    action, dt = _ShiftedAction(lam.matrix), 1.0 - 0.3
+    action, dt = _ShiftedAction(lam), 1.0 - 0.3
     x, half, twice, full = np.empty((4, 1, 16))
     _taylor_steps(action, to_real(rho0.matrix), 0.3, x)
     _taylor_steps(action, x[0], dt / 2.0, half)
@@ -146,7 +146,7 @@ def test_shifted_action_matches_dense(rng):
     assert not np.all(np.any(bare.matrix, axis=1))
     for lam in (dephasing_ising_reset(2.0, 1.0, 1.5, 3.0), bare):
         shifted = lam.matrix - np.trace(lam.matrix) / 16 * np.eye(16)
-        action, x = _ShiftedAction(lam.matrix), rng.standard_normal(16)
+        action, x = _ShiftedAction(lam), rng.standard_normal(16)
         assert np.max(np.abs(action(x) - shifted @ x)) < 1e-13
         assert action.norm == pytest.approx(np.max(np.abs(shifted).sum(axis=0)), rel=1e-14)
 
@@ -169,8 +169,8 @@ def test_taylor_parameters_minimise_products(monkeypatch):
     h = build_hamiltonian(HamiltonianSpec("ising", g=2.0, omega=1.0), 2)
     lam = assemble(h, [local_noise_generator(2, GasNoiseParams(B=0.5, C=0.5, s=0.3)), reset_generator(2, ResetSpec.pure(0.8, 2, "+"))])
     out = np.empty((1, 16))
-    m, s = _taylor_steps(_ShiftedAction(lam.matrix), to_real(rho0.matrix), 80.0, out)
-    assert (m, s) == _taylor_parameters(_ShiftedAction(lam.matrix).norm * 80.0)
+    m, s = _taylor_steps(_ShiftedAction(lam), to_real(rho0.matrix), 80.0, out)
+    assert (m, s) == _taylor_parameters(_ShiftedAction(lam).norm * 80.0)
     assert s > 1 and 0 < len(products) <= m * s
     assert np.max(np.abs(from_real(out[0]) - steady_state(lam).matrix)) < 1e-9
 
@@ -263,7 +263,7 @@ def test_steady_missing_null_vector_raises():
     # an impossibly tight tolerance leaves no eigenvalue "at zero"
     lam = dephasing_ising_reset(1.0, 1.0, 0.0, 1.0)
     with pytest.raises(SteadyStateError, match="no eigenvalue"):
-        _inverse_iteration(lam.matrix, 1e-30)
+        _inverse_iteration(lam, 1e-30)
 
 
 def test_steady_unitary_only_model_is_degenerate():
@@ -318,8 +318,8 @@ def test_steady_logs_residual_and_null_gap(caplog):
         steady_state(lam)
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
-    d2, tol, residual, gap, blocks, largest, lapack = record.args
-    assert d2 == 16
+    d2, nnz, tol, residual, gap, blocks, largest, lapack = record.args
+    assert d2 == 16 and nnz == lam.values.size == np.count_nonzero(lam.matrix)
     assert (blocks, largest, lapack) == (1, 16, 0)
     assert tol == pytest.approx(1e-10 * np.max(np.abs(lam.matrix).sum(axis=1)))
     assert 0.0 <= residual <= 1e-12
@@ -328,16 +328,19 @@ def test_steady_logs_residual_and_null_gap(caplog):
     assert abs(gap - evals[1]) < 0.1 * evals[1]
     assert "null_gap" in record.getMessage()
     caplog.clear()
+    gas = measures_gas_generator(5, 10.0)
     with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
-        steady_state(measures_gas_generator(5, 10.0))
+        steady_state(gas)
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
-    assert record.args[0] == 1024 and record.args[4:] == (16, 64, 0)
+    # 0.9 % of the 1024^2 entries are non-zero
+    assert record.args[:2] == (1024, 9476) and np.count_nonzero(gas.matrix) == 9476
+    assert record.args[5:] == (16, 64, 0)
     caplog.clear()
     # a thermal R is strongly connected: one block of 256, factored by LAPACK
     with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
         steady_state(generator_family("thermal", 4, np.random.default_rng(5)))
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
-    assert record.args[0] == 256 and record.args[4:] == (1, 256, 1)
+    assert record.args[0] == 256 and record.args[5:] == (1, 256, 1)
 
 
 # --- block-triangular solves -----------------------------------------------------
@@ -404,7 +407,7 @@ def test_blocked_solve_matches_dense_lu(n, rates):
     for r in rates:
         lam = measures_gas_generator(n, r)
         tol = 1e-10 * lam.norm
-        x, gap, blocks = _inverse_iteration(lam.matrix, tol)
+        x, _, gap, blocks = _inverse_iteration(lam, tol)
         want, want_gap = dense_inverse_iteration(lam.matrix, tol)
         assert len(blocks) > 1 and sum(blocks) == 4**n
         assert np.max(np.abs(unit_trace(x) - unit_trace(want))) < 1e-13, r
@@ -418,19 +421,39 @@ def test_one_block_solve_is_the_dense_lu(name, rng):
     round up to _NUMPY_MAX_BLOCK coordinates, one LAPACK LU above."""
     lam = generator_family("thermal", 4, rng) if name == "thermal-4" else measures_gas_generator(int(name[-1]), 10.0)
     tol = 1e-10 * lam.norm
-    x, gap, blocks = _inverse_iteration(lam.matrix, tol)
+    x, _, gap, blocks = _inverse_iteration(lam, tol)
     want, want_gap = dense_inverse_iteration(lam.matrix, tol, lapack=lam.matrix.shape[0] > _NUMPY_MAX_BLOCK)
     assert blocks == [lam.matrix.shape[0]]
     assert np.array_equal(x, want) and gap == want_gap
+
+
+@pytest.mark.parametrize("name,n", [("gas", 2), ("gas", 3), ("gas", 4), ("gas", 5), ("thermal", 2), ("thermal", 3), ("thermal", 4)])
+def test_steady_state_matches_the_dense_reference(name, n, rng):
+    """steady_state on the stored non-zeros against inverse iteration on the
+    dense R through one LAPACK LU: the gas R of ``configs/measures_gas.json``
+    and a thermal R, all non-zero."""
+    lam = measures_gas_generator(n, 10.0) if name == "gas" else generator_family("thermal", n, rng)
+    want, _ = dense_inverse_iteration(lam.matrix, 1e-10 * lam.norm)
+    assert np.max(np.abs(steady_state(lam).matrix - unit_trace(want))) < 1e-13
+
+
+def test_inverse_iteration_image_is_r_times_the_null_vector(rng):
+    """The R x that :func:`_inverse_iteration` returns for the residual is
+    the dense product, on one block and on 16."""
+    for lam in (generator_family("thermal", 3, rng), measures_gas_generator(5, 10.0)):
+        x, rx, _, _ = _inverse_iteration(lam, 1e-10 * lam.norm)
+        assert np.max(np.abs(rx - lam.matrix @ x)) <= 1e-15 * lam.norm
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_permuted_generator_is_block_lower_triangular(n):
     """Under the block order no non-zero lies right of a diagonal block,
     every block but the last has at least _MIN_BLOCK coordinates, and the
-    non-zeros left of the blocks are exactly the ones the solves gather."""
-    mat = measures_gas_generator(n, 10.0).matrix
-    blocks = _triangular_blocks(mat)
+    non-zeros inside and left of the blocks are exactly the ones the solves
+    scatter and gather, at their block-local positions."""
+    lam = measures_gas_generator(n, 10.0)
+    mat = lam.matrix
+    blocks = _triangular_blocks(lam.positions, 4**n)
     perm = np.concatenate([blk.idx for blk in blocks])
     assert np.array_equal(np.sort(perm), np.arange(4**n))
     assert all(np.all(np.diff(blk.idx) > 0) for blk in blocks)
@@ -440,10 +463,18 @@ def test_permuted_generator_is_block_lower_triangular(n):
     block_of = np.repeat(np.arange(len(blocks)), sizes)
     assert not np.any(permuted[block_of[:, None] < block_of[None, :]])
     position, left = np.argsort(perm), np.zeros_like(permuted, dtype=bool)
+    inside = np.zeros_like(permuted, dtype=bool)
     for k, blk in enumerate(blocks):
-        assert np.all(block_of[position[blk.rows]] == k) and np.all(block_of[position[blk.cols]] < k)
-        left[position[blk.rows], position[blk.cols]] = True
+        rows, cols = np.divmod(lam.positions[blk.left], 4**n)
+        assert np.array_equal(cols, blk.cols)
+        assert np.all(block_of[position[rows]] == k) and np.all(block_of[position[cols]] < k)
+        left[position[rows], position[cols]] = True
+        rows, cols = np.divmod(lam.positions[blk.inside], 4**n)
+        first = sum(sizes[:k])  # the block's first coordinate in the block order
+        assert np.array_equal(blk.local, (position[rows] - first) * blk.idx.size + position[cols] - first)
+        inside[position[rows], position[cols]] = True
     assert np.array_equal(left, (block_of[:, None] > block_of[None, :]) & (permuted != 0))
+    assert np.array_equal(inside, (block_of[:, None] == block_of[None, :]) & (permuted != 0))
 
 
 def same_partition(a, b):
@@ -506,9 +537,9 @@ def test_exactly_singular_block_is_steady_state_error():
     solve reports the generator as numerically singular."""
     n = 4
     lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
-    assert max(blk.idx.size for blk in _triangular_blocks(lam.matrix)) <= _NUMPY_MAX_BLOCK
+    assert max(blk.idx.size for blk in _triangular_blocks(lam.positions, 4**n)) <= _NUMPY_MAX_BLOCK
     with pytest.raises(SteadyStateError, match="numerically singular") as info:
-        _inverse_iteration(lam.matrix, 0.0)
+        _inverse_iteration(lam, 0.0)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
@@ -518,7 +549,7 @@ def test_singular_components_in_different_blocks_are_degenerate():
     reports the degenerate null space."""
     n = 4
     lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
-    blocks = _triangular_blocks(lam.matrix)
+    blocks = _triangular_blocks(lam.positions, 4**n)
     null = np.flatnonzero(~np.any(lam.matrix, axis=0))
     assert len({k for k, blk in enumerate(blocks) for c in null if c in blk.idx}) > 1
     with pytest.raises(SteadyStateError, match="degenerate null space"):

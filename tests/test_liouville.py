@@ -618,6 +618,11 @@ def gas_generator(n):
     return assemble(h, [local_noise_generator(n, NOISE), reset_generator(n, ResetSpec.pure(1.9, n, "+"))])
 
 
+def random_hamiltonian(n, seed):
+    a = np.random.default_rng(seed).standard_normal((2, 2**n, 2**n))
+    return build_hamiltonian(HamiltonianSpec("custom", matrix=a[0] + a[0].T + 1j * (a[1] - a[1].T)), n)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, np.inf)])
 def test_non_finite_entries_rejected(bad):
     """A non-finite entry of L, in its real or its imaginary part, is a
@@ -648,17 +653,71 @@ def test_superoperator_scale_needs_no_full_temporary():
         Superoperator(mat, 5)
 
 
-def test_superoperator_takes_ownership_of_a_float64_array():
-    """A float64 matrix is stored as given and frozen, not copied; any
-    other real dtype is converted into a new array and the caller's stays
-    writable, and a complex matrix is refused."""
-    mat = np.zeros((16, 16))
-    lam = Superoperator(mat, 2)
-    assert lam.matrix is mat and not mat.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        mat[0, 0] = 1.0
+def test_superoperator_copies_out_the_non_zeros():
+    """A dense matrix is copied out: the stored positions and values are its
+    row-ordered non-zeros, read-only, and the caller's array, of any real
+    dtype, stays writable and unread after construction.  ``matrix`` is a
+    fresh read-only array on every read and round-trips the input exactly."""
+    for mat in (np.array(gas_generator(2).matrix), np.array(thermal_generator(random_hamiltonian(2, 3), ThermalBathParams(1.0, 0.8)).matrix)):
+        lam = Superoperator(mat, 2)
+        assert mat.flags.writeable
+        assert np.array_equal(lam.positions, np.flatnonzero(mat)) and np.array_equal(lam.values, mat[mat != 0])
+        assert not lam.positions.flags.writeable and not lam.values.flags.writeable
+        dense = lam.matrix
+        assert np.array_equal(dense, mat) and dense is not lam.matrix and not dense.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dense[0, 0] = 1.0
+        mat[0, 0] += 1.0
+        assert not np.array_equal(lam.matrix, mat)
     single = np.zeros((16, 16), dtype=np.float32)
-    assert Superoperator(single, 2).matrix is not single and single.flags.writeable
+    lam = Superoperator(single, 2)
+    assert single.flags.writeable and lam.values.dtype == np.float64 and lam.values.size == 0
+
+
+def test_superoperator_refuses_a_wrong_shape():
+    for mat in (np.zeros((16, 15)), np.zeros((4, 4)), np.zeros(256)):
+        with pytest.raises(ValueError, match="does not match"):
+            Superoperator(mat, 2)
+
+
+def test_superoperator_on_positions_takes_them_as_they_are():
+    """``Superoperator(values, n, positions)`` stores both arrays without a
+    copy and reads them as R; it refuses positions that do not ascend or
+    leave R, a length mismatch, and values that break the contract."""
+    lam = gas_generator(2)
+    positions, values = np.array(lam.positions), np.array(lam.values)
+    same = Superoperator(values, 2, positions)
+    assert same.positions is positions and same.values is values and not values.flags.writeable
+    assert np.array_equal(same.matrix, lam.matrix) and same.norm == lam.norm
+    for bad in (positions[::-1], np.where(positions == positions[-1], 256, positions), np.where(positions == positions[0], -1, positions)):
+        with pytest.raises(ValueError, match="ascend"):
+            Superoperator(lam.values, 2, bad)
+    with pytest.raises(ValueError, match="one length"):
+        Superoperator(lam.values[1:], 2, lam.positions)
+    with pytest.raises(ValueError, match="non-finite"):
+        Superoperator(np.where(lam.values == lam.values[3], np.inf, lam.values), 2, lam.positions)
+    with pytest.raises(ValueError, match="trace preserving"):
+        Superoperator(2.0 * np.abs(lam.values), 2, lam.positions)
+    with pytest.raises(ValueError, match="must be real"):
+        Superoperator(lam.values + 0j, 2, lam.positions)
+
+
+def test_affine_family_equals_the_dense_sum():
+    """Each member of :func:`affine_family` is base + r unit on the union of
+    the two patterns, value for value the dense sum, for a sparse gas and a
+    full thermal base."""
+    n = 3
+    unit = reset_generator(n, ResetSpec.pure(1.0, n, "+"))
+    h = build_hamiltonian(HamiltonianSpec("ising", g=1.3, omega=0.7), n)
+    for base in (assemble(h, [local_noise_generator(n, NOISE)]), thermal_generator(random_hamiltonian(n, 4), ThermalBathParams(1.0, 0.8))):
+        family = liouville.affine_family(base, unit)
+        for r in (0.0, 0.3, 41.0):
+            lam = family(r)
+            assert np.array_equal(lam.matrix, base.matrix + r * unit.matrix)
+            assert lam.positions is family(1.0).positions
+            assert np.array_equal(lam.positions, np.union1d(base.positions, unit.positions))
+    with pytest.raises(ValueError, match="dimension"):
+        liouville.affine_family(base, reset_generator(2, ResetSpec.pure(1.0, 2, "+")))
 
 
 def test_superoperator_refuses_a_complex_matrix():
@@ -672,7 +731,9 @@ def test_superoperator_refuses_a_complex_matrix():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_every_builder_passes_the_contract(n, rng):
     """Each generator builder constructs at every n up to 5, and ``norm`` is
-    the largest absolute row sum of the matrix."""
+    within 1e-15 relative of the largest absolute row sum of the dense
+    matrix: it sums the stored non-zeros of a row in row order, where the
+    dense sum pairs the entries of the row, zeros included."""
     a = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
     h = build_hamiltonian(HamiltonianSpec("custom", matrix=a + a.conj().T), n)
     degenerate = build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=0.5), n)
@@ -684,6 +745,9 @@ def test_every_builder_passes_the_contract(n, rng):
         thermal_generator(h, ThermalBathParams(1.0, 0.8)),
         thermal_generator(degenerate, ThermalBathParams(1.0, 2.0), merge_degenerate=True),
         assemble(h, [noise, reset_generator(n, ResetSpec.uniform(1.9, n, RESET_STATES[2]))]),
+        assemble(h, [thermal_generator(h, ThermalBathParams(1.0, 0.8)), reset_generator(n, ResetSpec.pure(1.9, n, "+"))]),
+        assemble(degenerate, []),  # diagonal H: rows without a non-zero, first, inside and last
     ]
     for lam in lams:
-        assert lam.norm == np.abs(lam.matrix).sum(axis=1).max()
+        dense = np.abs(lam.matrix).sum(axis=1).max()
+        assert abs(lam.norm - dense) <= 1e-15 * dense
