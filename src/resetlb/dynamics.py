@@ -242,7 +242,8 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     zero raise :class:`SteadyStateError`, also when the null vectors sit in
     different blocks.  The state is Hermitian by construction and
     trace-normalized after the solve; its residual ||L rho|| is
-    ||R x|| / |tr rho| on the full R.  A positivity failure beyond 1e-9 is
+    ||R x|| / |tr rho| over every stored non-zero of R, since the block
+    layout is checked to hold them all.  A positivity failure beyond 1e-9 is
     an error, not clipped, since it would mask an assembly bug.  Each solve
     logs D^2, tol, residual, null gap, the number of diagonal blocks, the
     largest block and the number of blocks factored by LAPACK at DEBUG,
@@ -384,7 +385,8 @@ def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
     An edge j -> i stands for R[i, j] != 0.  The components go in a
     topological order of their condensation, so every non-zero sits in or
     left of a diagonal block; consecutive components are merged into
-    blocks of at least ``_MIN_BLOCK`` coordinates."""
+    blocks of at least ``_MIN_BLOCK`` coordinates.  A layout that leaves a
+    non-zero out of its blocks raises :class:`SteadyStateError`."""
     import graphlib
 
     positions = np.frombuffer(pattern, dtype=np.intp)
@@ -417,6 +419,11 @@ def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
         starts = np.flatnonzero(np.diff(rows[left], prepend=-1))
         at = local[rows[inside]] * idx.size + local[cols[inside]]
         blocks.append(_Block(idx, inside, at, left, cols[left], local[rows[left][starts]], starts))
+    # the solves and R x read only these non-zeros: any other would sit right
+    # of a diagonal block, which a wrong order or partition puts there
+    missed = positions.size - sum(blk.inside.size + blk.left.size for blk in blocks)
+    if missed:
+        raise SteadyStateError(f"block layout leaves {missed} non-zeros of R above its diagonal blocks")
     return tuple(blocks)
 
 

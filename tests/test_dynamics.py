@@ -14,6 +14,7 @@ from resetlb.dynamics import (
     _MIN_BLOCK,
     _NUMPY_MAX_BLOCK,
     _inverse_iteration,
+    _pattern_blocks,
     _ShiftedAction,
     _start_block,
     _strong_components,
@@ -475,6 +476,21 @@ def test_permuted_generator_is_block_lower_triangular(n):
         inside[position[rows], position[cols]] = True
     assert np.array_equal(left, (block_of[:, None] > block_of[None, :]) & (permuted != 0))
     assert np.array_equal(inside, (block_of[:, None] == block_of[None, :]) & (permuted != 0))
+
+
+def test_block_layout_that_leaves_out_a_non_zero_is_refused(monkeypatch):
+    """The solves and the residual's R x read only the non-zeros inside and
+    left of the diagonal blocks, so a layout that leaves one out is refused,
+    not dropped from both: the components in reversed topological order put
+    non-zeros right of their blocks."""
+    import graphlib
+
+    lam = measures_gas_generator(4, 10.0)
+    order = graphlib.TopologicalSorter.static_order
+    monkeypatch.setattr(graphlib.TopologicalSorter, "static_order", lambda self: reversed(list(order(self))))
+    _pattern_blocks.cache_clear()
+    with pytest.raises(SteadyStateError, match="block layout leaves [1-9][0-9]* non-zeros"):
+        steady_state(lam)
 
 
 def same_partition(a, b):
