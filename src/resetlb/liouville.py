@@ -351,7 +351,7 @@ def _local_indices(n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     (4, 4, 4^n / 4), at which :func:`_embed_local` writes the 4x4 block of
     ``site``.  Cached: they depend on n and the site only, and every
     generator of a sweep point rewrites them; with them a 2-qubit noise
-    generator builds in about 60 µs instead of 100."""
+    generator builds in about 60 µs, against 150 µs recomputing them."""
     row_bit, col_bit = n - 1 - site, 2 * n - 1 - site
     k = np.arange(4**n)
     rest = k[(k & ((1 << row_bit) | (1 << col_bit))) == 0]
