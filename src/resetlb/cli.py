@@ -5,9 +5,9 @@ Subcommands: ``steady``, ``evolve``, ``spectrum``, ``spingas``,
 config (see :mod:`resetlb.config`) and write CSV with a comment header
 carrying the fully resolved config and seed, so identical inputs yield
 byte-identical files at a fixed BLAS thread count (apart from the
-timestamp line, which ``--no-timestamp`` suppresses); the
-``measures_thermal`` CSV differs in its last bits between 1 and 2 OpenBLAS
-threads, ``measures_gas`` does not.
+timestamp line, which ``--no-timestamp`` suppresses); only the
+``measures_thermal`` CSV, whose steady states at n >= 4 are LAPACK LUs,
+differs in its last bits between 1 and 2 OpenBLAS threads.
 
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 verify
 failure.

@@ -12,15 +12,15 @@ more such actions and is computed only when it is read.  Steady states
 come from shifted inverse iteration on R - tol*I with a two-vector block
 whose second Rayleigh quotient tests the null space for degeneracy; tol is
 1e-10 times ``lam.norm``.  Its solves are forward substitutions over the
-diagonal blocks that the strong components of R's non-zero pattern give in
-topological order (Duff and Reid, ACM TOMS 4, 137 (1978)), found by an own
-Tarjan search once per pattern; each block is scattered from its own
-non-zeros.  The gas R splits into 16 blocks of 64 at n = 5, while a thermal
-R, all non-zero, is one block, R as it is.  A block of at most 128
-coordinates is solved by ``np.linalg.solve`` in each round; a larger one,
-such as the thermal R at n >= 4, is factored once by LAPACK through
-``scipy.linalg``, and that is the only solve that imports scipy.  Gas and
-two-qubit steady states and the spectrum need numpy alone.
+diagonal blocks that the strong components of R's non-zero pattern give
+(Duff and Reid, ACM TOMS 4, 137 (1978)), found by an own Tarjan search and
+grouped by level and size once per pattern; each group is scattered from
+its own non-zeros and factored once.  The gas R has 147 components of 2 to
+32 coordinates in 8 groups at n = 5; a thermal R, all non-zero, is one
+block.  Blocks of at most 128 coordinates are inverted by
+``np.linalg.inv``; a larger one, such as the thermal R at n >= 4, is
+factored by LAPACK through ``scipy.linalg``, the only solve that imports
+scipy.  Gas and two-qubit steady states and the spectrum need numpy alone.
 """
 
 from __future__ import annotations
@@ -236,7 +236,7 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     One path at every D^2: shifted inverse iteration in real coordinates
     with tolerance 1e-10 times ``lam.norm``, the inf-norm of R (a
     spectral-radius bound, since R has the eigenvalues of L), whose solves
-    with R - tol*I go block by block down R's block-triangular form (one
+    with R - tol*I go group by group down R's block-triangular form (one
     block, the whole of R, when D^2 <= 64 or the pattern is strongly
     connected).  A zero generator, no eigenvalue or two within tolerance of
     zero raise :class:`SteadyStateError`, also when the null vectors sit in
@@ -244,27 +244,29 @@ def steady_state(lam: Superoperator) -> qop.DensityMatrix:
     trace-normalized after the solve; its residual ||L rho|| is
     ||R x|| / |tr rho| over every stored non-zero of R, since the block
     layout is checked to hold them all.  A positivity failure beyond 1e-9 is
-    an error, not clipped, since it would mask an assembly bug.  Each solve
-    logs D^2, tol, residual, null gap, the number of diagonal blocks, the
-    largest block and the number of blocks factored by LAPACK at DEBUG,
-    after the number of stored non-zeros.
+    an error, not clipped, since it would mask an assembly bug.  With DEBUG
+    enabled on this module's logger, each solve logs D^2, the number of
+    stored non-zeros, tol, residual, null gap, the number of diagonal blocks
+    (strong components) and of their groups, the largest block and the
+    number of blocks factored by LAPACK.
     """
     d2 = lam.dim**2
     if lam.norm == 0.0:
         raise SteadyStateError(f"degenerate null space: zero generator, all {d2} eigenvalues are 0")
     tol = 1e-10 * lam.norm
-    x, rx, gap, blocks = _inverse_iteration(lam, tol)
+    x, rx, gap, groups = _inverse_iteration(lam, tol)
     rho = qop.from_real(x)
     tr = np.trace(rho).real
     if abs(tr) < 1e-14:
         raise SteadyStateError("null vector is traceless; not a state")
     rho = rho / tr
     residual = float(np.linalg.norm(rx)) / abs(tr)
-    _log.debug(
-        "steady state: D^2=%d nnz=%d tol=%.3e residual=%.3e null_gap=%.3e blocks=%d largest_block=%d lapack_blocks=%d",
-        d2, lam.values.size, tol, residual, gap,
-        len(blocks), max(blocks), sum(size > _NUMPY_MAX_BLOCK for size in blocks),
-    )
+    if _log.isEnabledFor(logging.DEBUG):
+        _log.debug(
+            "steady state: D^2=%d nnz=%d tol=%.3e residual=%.3e null_gap=%.3e components=%d groups=%d "
+            "largest_component=%d lapack_components=%d", d2, lam.values.size, tol, residual, gap,
+            sum(g.nb for g in groups), len(groups), max(g.s for g in groups), sum(g.nb for g in groups if g.s > _NUMPY_MAX_BLOCK),
+        )
     if residual > max(RESIDUAL_TOL, 10 * tol):
         raise SteadyStateError(f"steady-state residual {residual:.3e} too large")
     try:
@@ -285,51 +287,65 @@ def _start_block(d2: int) -> np.ndarray:
     return block
 
 
-_MIN_BLOCK = 64  # coordinates; smaller consecutive components share one LU
-# coordinates; a larger diagonal block keeps one LAPACK LU for all rounds, a
-# smaller one is solved afresh by np.linalg.solve in each round, which costs
-# no more at this size and needs no scipy (every gas block up to n = 6 is 64)
+# coordinates; a larger diagonal block is factored by LAPACK's getrf, a
+# smaller one inverted by np.linalg.inv, which needs no scipy (every gas
+# component up to n = 6 has at most 64)
 _NUMPY_MAX_BLOCK = 128
 
 
 @dataclass(frozen=True, eq=False)
-class _Block:
-    """A diagonal block of R in block-triangular order: its coordinates
-    ``idx``, ascending (``slice(None)`` when the block is all of R); the
-    stored non-zeros inside it, ``inside``, as indices into R's values, at
-    block-local row-major positions ``local`` (``None`` when the block is
-    all of R: R's own positions); and those left of it,
-    ``left``, with their columns ``cols`` and the block-local row and start
-    of each run of equal rows among them, ``runs`` and ``starts``, as
-    ``np.add.reduceat`` takes them."""
+class _Group:
+    """``nb`` diagonal blocks of ``s`` coordinates on one level: ``rows`` of
+    the block-triangular order, block after block, from ``start`` in the
+    stacked buffer; and the non-zeros left of them, ``left`` (indices into
+    R's values in row order), their columns ``cols`` and the row and start
+    of each run of equal rows, ``runs`` and ``starts``, for reduceat."""
 
-    idx: np.ndarray | slice
-    inside: np.ndarray | slice
-    local: np.ndarray | None
+    rows: slice
+    nb: int
+    s: int
+    start: int
     left: np.ndarray
     cols: np.ndarray
     runs: np.ndarray
     starts: np.ndarray
 
 
-_NONE = np.zeros(0, dtype=np.intp)
-_ONE_BLOCK = (_Block(slice(None), slice(None), None, _NONE, _NONE, _NONE, _NONE),)
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """R's coordinates in block-triangular order, ``perm``, its groups in
+    solve order, the indices ``inside`` of R's values inside the blocks and
+    their positions ``at`` in the stacked buffer, and the buffer positions
+    of the diagonals, ``diag``, the last ending the buffer.  One block is
+    ``perm`` and ``inside`` ``slice(None)``, ``at`` ``None`` (R's own)."""
+
+    perm: np.ndarray | slice
+    groups: tuple[_Group, ...]
+    inside: np.ndarray | slice
+    at: np.ndarray | None
+    diag: np.ndarray
 
 
-def _triangular_blocks(positions: np.ndarray, d2: int) -> tuple[_Block, ...]:
-    """The diagonal blocks of the D^2 x D^2 pattern of row-major non-zero
+@functools.lru_cache(maxsize=8)
+def _one_block(d2: int) -> _Layout:
+    every, none = slice(None), np.zeros(0, dtype=np.intp)
+    return _Layout(every, (_Group(every, 1, d2, 0, none, none, none, none),), every, None, np.arange(d2) * (d2 + 1))
+
+
+def _triangular_blocks(positions: np.ndarray, d2: int) -> _Layout:
+    """The layout of the D^2 x D^2 pattern of row-major non-zero
     ``positions`` in an order of its coordinates under which it is block
     lower triangular, from the strong components of the pattern (Tarjan,
-    SIAM J. Comput. 1, 146 (1972)).  A pattern of at most ``_MIN_BLOCK``
-    coordinates, or one whose first row and column are full (every
-    coordinate then reaches and is reached from the first: one component,
-    as in every thermal R), is one block, found without a search."""
-    if d2 <= _MIN_BLOCK:
-        return _ONE_BLOCK
+    SIAM J. Comput. 1, 146 (1972)).  A pattern of at most 64 coordinates, or
+    one whose first row and column are full (every coordinate then reaches
+    and is reached from the first: one component, as in every thermal R), is
+    one block, found without a search."""
+    if d2 <= 64:
+        return _one_block(d2)
     column = np.arange(0, d2 * d2, d2)  # column 0 of every row
     row_full = positions.size >= d2 and positions[d2 - 1] == d2 - 1
     if row_full and np.array_equal(positions.take(np.searchsorted(positions, column), mode="clip"), column):
-        return _ONE_BLOCK
+        return _one_block(d2)
     return _pattern_blocks(d2, positions.tobytes())
 
 
@@ -377,119 +393,119 @@ def _strong_components(rows: np.ndarray, cols: np.ndarray, d2: int) -> np.ndarra
 
 
 @functools.lru_cache(maxsize=8)
-def _pattern_blocks(d2: int, pattern: bytes) -> tuple[_Block, ...]:
+def _pattern_blocks(d2: int, pattern: bytes) -> _Layout:
     """:func:`_triangular_blocks` of the row-major non-zero positions in
     ``pattern``, as bytes.  Cached: it depends on the pattern only, which a
     sweep over rates keeps.
 
-    An edge j -> i stands for R[i, j] != 0.  The components go in a
-    topological order of their condensation, so every non-zero sits in or
-    left of a diagonal block; consecutive components are merged into
-    blocks of at least ``_MIN_BLOCK`` coordinates.  A layout that leaves a
-    non-zero out of its blocks raises :class:`SteadyStateError`."""
-    import graphlib
-
+    Tarjan labels a component after every component its rows read, so one
+    pass in label order gives each component its level, one more than the
+    highest level it reads.  The coordinates go in (level, size, component)
+    order; the equal-size components of one level form a group, which no
+    non-zero couples, and every other non-zero sits left of its group (Duff
+    and Reid, ACM TOMS 4, 137 (1978)).  A layout that leaves a non-zero out
+    of its blocks and their left parts raises :class:`SteadyStateError`."""
     positions = np.frombuffer(pattern, dtype=np.intp)
     rows, cols = np.divmod(positions, d2)
-    # the reversed edges i -> j give the same components
     comp = _strong_components(rows, cols, d2)
     n_comp = int(comp.max()) + 1
-    preds: dict[int, set[int]] = {c: set() for c in range(n_comp)}
-    for src, dst in zip(comp[cols].tolist(), comp[rows].tolist()):
-        if src != dst:
-            preds[dst].add(src)
-    sizes = np.bincount(comp)
-    block_of = np.empty(n_comp, dtype=np.intp)
-    last, filled = 0, 0
-    for c in graphlib.TopologicalSorter(preds).static_order():
-        if filled >= _MIN_BLOCK:
-            last, filled = last + 1, 0
-        block_of[c], filled = last, filled + sizes[c]
-    if last == 0:
-        return _ONE_BLOCK
-    coord_block = block_of[comp]
-    row_block, col_block = coord_block[rows], coord_block[cols]
-    local = np.empty(d2, dtype=np.intp)
-    blocks = []
-    for k in range(last + 1):
-        idx = np.flatnonzero(coord_block == k)
-        local[idx] = np.arange(idx.size)
-        inside = np.flatnonzero((row_block == k) & (col_block == k))
-        left = np.flatnonzero((row_block == k) & (col_block < k))  # in row order
-        starts = np.flatnonzero(np.diff(rows[left], prepend=-1))
-        at = local[rows[inside]] * idx.size + local[cols[inside]]
-        blocks.append(_Block(idx, inside, at, left, cols[left], local[rows[left][starts]], starts))
-    # the solves and R x read only these non-zeros: any other would sit right
-    # of a diagonal block, which a wrong order or partition puts there
-    missed = positions.size - sum(blk.inside.size + blk.left.size for blk in blocks)
+    if n_comp == 1:
+        return _one_block(d2)
+    reads = np.sort((comp[rows] * n_comp + comp[cols])[comp[rows] != comp[cols]])
+    level = [0] * n_comp
+    for c, read in zip(*(part.tolist() for part in np.divmod(reads[np.diff(reads, prepend=-1) != 0], n_comp))):
+        level[c] = max(level[c], level[read] + 1)  # readers in label order
+    size, level = np.bincount(comp)[comp], np.array(level)[comp]
+    perm = np.lexsort((comp, size, level))  # each component's coordinates ascending
+    sz, pos = size[perm], np.argsort(perm)  # each coordinate's position in that order
+    edges = np.append(np.flatnonzero((np.diff(level[perm], prepend=-1) != 0) | (np.diff(sz, prepend=0) != 0)), d2)
+    firsts = np.flatnonzero(np.diff(comp[perm], prepend=-1))
+    local = np.arange(d2) - np.repeat(firsts, np.diff(np.append(firsts, d2)))  # rank in its component
+    base = (np.cumsum(sz) - sz)[np.arange(d2) - local]  # buffer start of its block
+    group = np.repeat(np.arange(edges.size - 1), np.diff(edges))
+    prow, pcol = pos[rows], pos[cols]
+    inside = np.flatnonzero(comp[rows] == comp[cols])
+    left = np.flatnonzero(group[pcol] < group[prow])
+    # the solves and R x read only these non-zeros: any other would couple two
+    # blocks of one group or sit right of its group, where a wrong order puts it
+    missed = positions.size - inside.size - left.size
     if missed:
         raise SteadyStateError(f"block layout leaves {missed} non-zeros of R above its diagonal blocks")
-    return tuple(blocks)
+    left = left[np.argsort(prow[left], kind="stable")]
+    split = np.searchsorted(group[prow[left]], np.arange(edges.size))
+    groups = []
+    for k, (a, b) in enumerate(zip(edges[:-1].tolist(), edges[1:].tolist())):
+        mine = left[split[k]:split[k + 1]]
+        starts = np.flatnonzero(np.diff(prow[mine], prepend=-1))
+        groups.append(_Group(slice(a, b), (b - a) // int(sz[a]), int(sz[a]), int(base[a]), mine, pcol[mine], prow[mine][starts], starts))
+    at = base[prow[inside]] + local[prow[inside]] * sz[prow[inside]] + local[pcol[inside]]
+    return _Layout(perm, tuple(groups), inside, at, base + local * (sz + 1))
 
 
-def _inverse_iteration(lam: Superoperator, tol: float) -> tuple[np.ndarray, np.ndarray, float, list[int]]:
+def _inverse_iteration(lam: Superoperator, tol: float) -> tuple[np.ndarray, np.ndarray, float, tuple[_Group, ...]]:
     """Shifted inverse iteration on R targeting 0 from :func:`_start_block`;
     returns the null vector x, R x, the null gap |theta_2|, whose falling
-    within ``tol`` marks a degenerate null space, and the sizes of the
+    within ``tol`` marks a degenerate null space, and the groups of the
     diagonal blocks.
 
-    Each diagonal block of :func:`_triangular_blocks` is scattered from its
-    own non-zeros, and each solve with R - tol*I is a forward substitution
-    over them.  A block of at most ``_NUMPY_MAX_BLOCK`` coordinates is
-    solved by ``np.linalg.solve`` on both columns in each round; a larger
-    one is factored once by LAPACK's ``getrf``, the only use of scipy here.
-    The Rayleigh quotients and R x are products block by block: the dense
-    diagonal block times its coordinates plus its left non-zeros gathered.
-    An exactly singular block, or a solve that overflows, raises
-    :class:`SteadyStateError`."""
+    Every diagonal block of :func:`_triangular_blocks` is scattered from
+    its own non-zeros into one stacked buffer, and each group of equal
+    blocks is factored once: ``np.linalg.inv`` on its stack of blocks of at
+    most ``_NUMPY_MAX_BLOCK`` coordinates, LAPACK's ``getrf`` on each larger
+    one, the only use of scipy here.  A solve with R - tol*I is then a
+    forward substitution over the groups, one stacked product per group
+    after its left non-zeros are gathered.  The Rayleigh quotients and R x
+    are products group by group: the stacked dense blocks times their
+    coordinates plus the left non-zeros.  An exactly singular block, or a
+    solve that overflows, raises :class:`SteadyStateError`."""
     d2 = lam.dim**2
     singular = f"inverse iteration overflowed: L - {tol:.2e} I is numerically singular"
-    factors, sizes = [], []
-    for blk in _triangular_blocks(lam.positions, d2):
-        size = d2 if isinstance(blk.idx, slice) else blk.idx.size
-        values = lam.values[blk.inside]
-        if values.size == size * size:  # a full block: its values in row-major order
-            dense = values.reshape(size, size)
-        else:
-            dense = np.zeros((size, size))
-            dense.reshape(-1)[lam.positions if blk.local is None else blk.local] = values
-        shifted = np.array(dense)
-        shifted[np.diag_indices(size)] -= tol
-        sizes.append(size)
-        lu = None
-        if size > _NUMPY_MAX_BLOCK:
+    layout = _triangular_blocks(lam.positions, d2)
+    values = lam.values[layout.inside]
+    if layout.at is None and values.size == d2 * d2:  # one full block: its values in row-major order
+        dense = values
+    else:
+        dense = np.zeros(int(layout.diag[-1]) + 1)
+        dense[lam.positions if layout.at is None else layout.at] = values
+    shifted = np.array(dense)
+    shifted[layout.diag] -= tol
+    factors = []
+    for g in layout.groups:
+        stack = slice(g.start, g.start + g.nb * g.s * g.s)
+        if g.s > _NUMPY_MAX_BLOCK:
             import scipy.linalg
 
             # lu_factor/lu_solve's LAPACK calls minus their wrapper cost; an
             # exactly zero pivot shows up as the non-finite check below
             getrf, getrs = scipy.linalg.get_lapack_funcs(("getrf", "getrs"), (shifted,))
-            lu, shifted = getrf(shifted, overwrite_a=True)[:2], None
-        factors.append((blk, dense, shifted, lu, lam.values[blk.left][:, None] if blk.left.size else None))
-
-    def product(v: np.ndarray) -> np.ndarray:
-        """R v for a (D^2, k) block v."""
-        out = np.empty_like(v)
-        for blk, dense, _, _, vals in factors:
-            part = dense @ v[blk.idx]
-            if vals is not None:
-                part[blk.runs] += np.add.reduceat(vals * v[blk.cols], blk.starts)
-            out[blk.idx] = part
-        return out
-
-    block = _start_block(d2)
-    for _ in range(3):
-        solved = np.empty((d2, 2))
-        for blk, _, shifted, lu, vals in factors:
-            rhs = block[blk.idx]
-            if vals is not None:
-                rhs[blk.runs] -= np.add.reduceat(vals * solved[blk.cols], blk.starts)
-            if lu is not None:  # one getrs per column: a two-column call rounds differently
-                solved[blk.idx] = np.column_stack([getrs(*lu, col)[0] for col in rhs.T])
-                continue
+            inverse = [getrf(blk, overwrite_a=True)[:2] for blk in shifted[stack].reshape(g.nb, g.s, g.s)]
+        else:
             try:
-                solved[blk.idx] = np.linalg.solve(shifted, rhs)
+                inverse = np.linalg.inv(shifted[stack].reshape(g.nb, g.s, g.s))
             except np.linalg.LinAlgError as exc:
                 raise SteadyStateError(singular) from exc
+        factors.append((g, dense[stack].reshape(g.nb, g.s, g.s), inverse, lam.values[g.left][:, None] if g.left.size else None))
+
+    def product(v: np.ndarray) -> np.ndarray:
+        """R v for a (D^2, k) block v, both in block-triangular order."""
+        out = np.empty_like(v)
+        for g, blocks, _, vals in factors:
+            out[g.rows] = (blocks @ v[g.rows].reshape(g.nb, g.s, -1)).reshape(-1, v.shape[1])
+            if vals is not None:
+                out[g.runs] += np.add.reduceat(vals * v.take(g.cols, axis=0), g.starts)
+        return out
+
+    block = _start_block(d2)[layout.perm]
+    for _ in range(3):
+        solved = np.array(block)  # each group's right-hand side, then its solution
+        for g, _, inverse, vals in factors:
+            if vals is not None:
+                solved[g.runs] -= np.add.reduceat(vals * solved.take(g.cols, axis=0), g.starts)
+            rhs = solved[g.rows].reshape(g.nb, g.s, 2)
+            if g.s > _NUMPY_MAX_BLOCK:  # one getrs per column: a two-column call rounds differently
+                solved[g.rows] = np.concatenate([np.column_stack([getrs(*lu, col)[0] for col in r.T]) for lu, r in zip(inverse, rhs)])
+            else:
+                solved[g.rows] = (inverse @ rhs).reshape(-1, 2)
         if not np.all(np.isfinite(solved)):
             raise SteadyStateError(singular)
         block, _ = np.linalg.qr(solved)
@@ -503,8 +519,10 @@ def _inverse_iteration(lam: Superoperator, tol: float) -> tuple[np.ndarray, np.n
         raise SteadyStateError("no eigenvalue within tolerance of zero")
     if gap <= tol:
         raise SteadyStateError(f"degenerate null space: null gap {gap:.2e} within {tol:.2e} of zero")
-    x = block @ y[:, order[0]]
-    return x, product(x[:, None])[:, 0], gap, sizes
+    x, rx = np.empty(d2), np.empty(d2)
+    x[layout.perm] = block @ y[:, order[0]]
+    rx[layout.perm] = product(x[layout.perm, None])[:, 0]
+    return x, rx, gap, layout.groups
 
 
 def spectrum(lam: Superoperator, grouping_tol: float = 1e-8) -> SpectrumReport:

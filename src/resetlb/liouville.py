@@ -525,7 +525,7 @@ def assemble(h: np.ndarray | None, generators, n: int | None = None) -> Superope
     for gen in gens:
         if gen.n_qubits != n:
             raise ValueError("generator dimension mismatch")
-        flat[gen.positions] += gen.values
+        np.add.at(flat, gen.positions, gen.values)  # in place; the positions are unique
     return Superoperator(mat, n)
 
 

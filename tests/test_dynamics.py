@@ -11,7 +11,6 @@ from resetlb import analytic, dynamics
 from resetlb.dynamics import (
     _THETA,
     SteadyStateError,
-    _MIN_BLOCK,
     _NUMPY_MAX_BLOCK,
     _inverse_iteration,
     _pattern_blocks,
@@ -319,9 +318,9 @@ def test_steady_logs_residual_and_null_gap(caplog):
         steady_state(lam)
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     assert record.levelno == logging.DEBUG
-    d2, nnz, tol, residual, gap, blocks, largest, lapack = record.args
+    d2, nnz, tol, residual, gap, components, groups, largest, lapack = record.args
     assert d2 == 16 and nnz == lam.values.size == np.count_nonzero(lam.matrix)
-    assert (blocks, largest, lapack) == (1, 16, 0)
+    assert (components, groups, largest, lapack) == (1, 1, 16, 0)
     assert tol == pytest.approx(1e-10 * np.max(np.abs(lam.matrix).sum(axis=1)))
     assert 0.0 <= residual <= 1e-12
     # the null gap estimates the smallest non-zero |eigenvalue| (here 4)
@@ -335,13 +334,14 @@ def test_steady_logs_residual_and_null_gap(caplog):
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
     # 0.9 % of the 1024^2 entries are non-zero
     assert record.args[:2] == (1024, 9476) and np.count_nonzero(gas.matrix) == 9476
-    assert record.args[5:] == (16, 64, 0)
+    # 147 strong components of 2 to 32 coordinates in 8 groups, all inverted in numpy
+    assert record.args[5:] == (147, 8, 32, 0)
     caplog.clear()
     # a thermal R is strongly connected: one block of 256, factored by LAPACK
     with caplog.at_level(logging.DEBUG, logger="resetlb.dynamics"):
         steady_state(generator_family("thermal", 4, np.random.default_rng(5)))
     (record,) = [r for r in caplog.records if r.name == "resetlb.dynamics"]
-    assert record.args[0] == 256 and record.args[5:] == (1, 256, 1)
+    assert record.args[0] == 256 and record.args[5:] == (1, 1, 256, 1)
 
 
 # --- block-triangular solves -----------------------------------------------------
@@ -357,8 +357,8 @@ def measures_gas_generator(n, r):
 def dense_inverse_iteration(mat, tol, lapack=True):
     """Reference: the inverse iteration of :func:`_inverse_iteration` with
     every solve with ``mat`` - tol*I as it is: through one LAPACK LU, one
-    ``getrs`` per column, or with ``lapack=False`` by ``np.linalg.solve`` on
-    both columns in each round."""
+    ``getrs`` per column, or with ``lapack=False`` as the product of one
+    ``np.linalg.inv`` with both columns in each round."""
     d2 = mat.shape[0]
     shifted = np.array(mat)
     shifted[np.diag_indices(d2)] -= tol
@@ -369,9 +369,10 @@ def dense_inverse_iteration(mat, tol, lapack=True):
         def solve(block):
             return np.column_stack([getrs(lu, piv, col)[0] for col in block.T])
     else:
+        inverse = np.linalg.inv(shifted)
 
         def solve(block):
-            return np.linalg.solve(shifted, block)
+            return inverse @ block
 
     block = _start_block(d2)
     for _ in range(3):
@@ -408,23 +409,23 @@ def test_blocked_solve_matches_dense_lu(n, rates):
     for r in rates:
         lam = measures_gas_generator(n, r)
         tol = 1e-10 * lam.norm
-        x, _, gap, blocks = _inverse_iteration(lam, tol)
+        x, _, gap, groups = _inverse_iteration(lam, tol)
         want, want_gap = dense_inverse_iteration(lam.matrix, tol)
-        assert len(blocks) > 1 and sum(blocks) == 4**n
+        assert sum(g.nb for g in groups) > 1 and sum(g.nb * g.s for g in groups) == 4**n
         assert np.max(np.abs(unit_trace(x) - unit_trace(want))) < 1e-13, r
         assert abs(gap - want_gap) <= 1e-6 * want_gap, r
 
 
 @pytest.mark.parametrize("name", ["gas-2", "gas-3", "thermal-4"])
 def test_one_block_solve_is_the_dense_lu(name, rng):
-    """At D^2 <= _MIN_BLOCK and on a strongly connected pattern the solve is
-    one block, bit for bit the dense solve: ``np.linalg.solve`` in each
-    round up to _NUMPY_MAX_BLOCK coordinates, one LAPACK LU above."""
+    """At D^2 <= 64 and on a strongly connected pattern the solve is one
+    group of one block, bit for bit the dense solve: one ``np.linalg.inv``
+    up to _NUMPY_MAX_BLOCK coordinates, one LAPACK LU above."""
     lam = generator_family("thermal", 4, rng) if name == "thermal-4" else measures_gas_generator(int(name[-1]), 10.0)
     tol = 1e-10 * lam.norm
-    x, _, gap, blocks = _inverse_iteration(lam, tol)
+    x, _, gap, groups = _inverse_iteration(lam, tol)
     want, want_gap = dense_inverse_iteration(lam.matrix, tol, lapack=lam.matrix.shape[0] > _NUMPY_MAX_BLOCK)
-    assert blocks == [lam.matrix.shape[0]]
+    assert [(g.nb, g.s) for g in groups] == [(1, lam.matrix.shape[0])]
     assert np.array_equal(x, want) and gap == want_gap
 
 
@@ -446,51 +447,140 @@ def test_inverse_iteration_image_is_r_times_the_null_vector(rng):
         assert np.max(np.abs(rx - lam.matrix @ x)) <= 1e-15 * lam.norm
 
 
+def layout_components(layout, d2):
+    """(label, order): the number of each coordinate's diagonal block under
+    ``layout``, blocks counted in solve order, and the coordinates in that
+    order."""
+    order = np.arange(d2)[layout.perm]
+    label, first = np.empty(d2, dtype=np.intp), 0
+    for g in layout.groups:
+        rows = np.arange(d2)[g.rows]
+        label[order[rows]] = first + (rows - rows[0]) // g.s
+        first += g.nb
+    return label, order
+
+
+def reading_levels(rows, cols, comp):
+    """Level of each component of the digraph with non-zeros (rows, cols):
+    0 when its rows read no other component, else one more than the
+    highest level it reads, by relaxation to the fixed point."""
+    src, dst = comp[cols], comp[rows]
+    cross = src != dst
+    level = np.zeros(comp.max() + 1, dtype=np.intp)
+    while True:
+        new = level.copy()
+        np.maximum.at(new, dst[cross], level[src[cross]] + 1)
+        if np.array_equal(new, level):
+            return level
+        level = new
+
+
+def check_layout(rows, cols, d2):
+    """The layout of the pattern (rows, cols), non-zeros in row order:
+    its blocks are the strong components; each group is one range of equal
+    blocks of one level, groups ascending by (level, size); no non-zero
+    couples two blocks of one group or lies right of its group, so each is
+    inside a block or left of its group; and the non-zeros each group's
+    solve gathers, and the stacked-buffer positions the blocks are
+    scattered to, are exactly those.  Returns the layout, the block labels
+    and the order."""
+    positions = rows * d2 + cols
+    layout = _triangular_blocks(positions, d2)
+    label, order = layout_components(layout, d2)
+    assert np.array_equal(np.sort(order), np.arange(d2))
+    assert same_partition(label, scipy_strong_components(rows, cols, d2))
+    level = reading_levels(rows, cols, label)
+    position = np.argsort(order)
+    group = np.empty(d2, dtype=np.intp)
+    keys, start = [], 0
+    for k, g in enumerate(layout.groups):
+        members = order[g.rows]
+        group[members] = k
+        assert members.size == g.nb * g.s and np.all(np.bincount(label[members])[label[members]] == g.s)
+        assert np.all(np.diff(members.reshape(g.nb, g.s), axis=1) > 0)  # ascending within a block
+        assert np.unique(level[label[members]]).size == 1
+        keys.append((level[label[members[0]]], g.s))
+        assert g.start == start
+        start += g.nb * g.s * g.s
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    inside = label[rows] == label[cols]
+    assert not np.any(group[cols] > group[rows])  # nothing right of its group
+    assert np.all(inside[group[cols] == group[rows]])  # no coupling inside a group but in a block
+    assert np.all(inside | (group[cols] < group[rows]))
+    if isinstance(layout.perm, slice):  # one block: R as it is
+        assert len(layout.groups) == 1 and np.all(inside) and layout.at is None
+        return layout, label, order
+    assert np.array_equal(layout.inside, np.flatnonzero(inside))
+    first = np.full(label.max() + 1, d2)  # each block's first position in the order
+    np.minimum.at(first, label, position)
+    local, size = position - first[label], np.bincount(label)[label]
+    base = np.empty(d2, dtype=np.intp)
+    for g in layout.groups:
+        members = order[g.rows]
+        base[members] = g.start + (np.arange(members.size) // g.s) * g.s * g.s
+    assert np.array_equal(layout.at, base[rows[inside]] + local[rows[inside]] * size[rows[inside]] + local[cols[inside]])
+    assert np.array_equal(layout.diag, (base + local * (size + 1))[order])
+    for k, g in enumerate(layout.groups):
+        want = np.flatnonzero((group[rows] == k) & ~inside)
+        want = want[np.argsort(position[rows[want]], kind="stable")]
+        assert np.array_equal(g.left, want) and np.array_equal(g.cols, position[cols[want]])
+        assert np.array_equal(np.repeat(g.runs, np.diff(np.append(g.starts, want.size))), position[rows[want]])
+    return layout, label, order
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_permuted_generator_is_block_lower_triangular(n):
-    """Under the block order no non-zero lies right of a diagonal block,
-    every block but the last has at least _MIN_BLOCK coordinates, and the
-    non-zeros inside and left of the blocks are exactly the ones the solves
-    scatter and gather, at their block-local positions."""
+    """The measures_gas R at n = 4 and 5 (50 and 147 strong components):
+    the layout checks of :func:`check_layout`, and the permuted dense R is
+    zero right of each group."""
     lam = measures_gas_generator(n, 10.0)
-    mat = lam.matrix
-    blocks = _triangular_blocks(lam.positions, 4**n)
-    perm = np.concatenate([blk.idx for blk in blocks])
-    assert np.array_equal(np.sort(perm), np.arange(4**n))
-    assert all(np.all(np.diff(blk.idx) > 0) for blk in blocks)
-    sizes = [blk.idx.size for blk in blocks]
-    assert all(size >= _MIN_BLOCK for size in sizes[:-1])
-    permuted = mat[np.ix_(perm, perm)]
-    block_of = np.repeat(np.arange(len(blocks)), sizes)
-    assert not np.any(permuted[block_of[:, None] < block_of[None, :]])
-    position, left = np.argsort(perm), np.zeros_like(permuted, dtype=bool)
-    inside = np.zeros_like(permuted, dtype=bool)
-    for k, blk in enumerate(blocks):
-        rows, cols = np.divmod(lam.positions[blk.left], 4**n)
-        assert np.array_equal(cols, blk.cols)
-        assert np.all(block_of[position[rows]] == k) and np.all(block_of[position[cols]] < k)
-        left[position[rows], position[cols]] = True
-        rows, cols = np.divmod(lam.positions[blk.inside], 4**n)
-        first = sum(sizes[:k])  # the block's first coordinate in the block order
-        assert np.array_equal(blk.local, (position[rows] - first) * blk.idx.size + position[cols] - first)
-        inside[position[rows], position[cols]] = True
-    assert np.array_equal(left, (block_of[:, None] > block_of[None, :]) & (permuted != 0))
-    assert np.array_equal(inside, (block_of[:, None] == block_of[None, :]) & (permuted != 0))
+    layout, label, order = check_layout(*np.divmod(lam.positions, 4**n), 4**n)
+    assert label.max() + 1 == {4: 50, 5: 147}[n]
+    group = np.repeat(np.arange(len(layout.groups)), [g.nb * g.s for g in layout.groups])
+    assert not np.any(lam.matrix[np.ix_(order, order)][group[:, None] < group[None, :]])
+
+
+@pytest.mark.parametrize("name", ["random_sparse", "random_dense", "long_cycle", "dag"])
+def test_layout_of_test_digraphs(name, rng):
+    """:func:`check_layout` on the test digraphs: sparse random ones with
+    isolated vertices, one cycle (one block), and a DAG (every vertex its
+    own block, on as many levels as its longest path)."""
+    check_layout(*digraph(name, rng))
 
 
 def test_block_layout_that_leaves_out_a_non_zero_is_refused(monkeypatch):
     """The solves and the residual's R x read only the non-zeros inside and
-    left of the diagonal blocks, so a layout that leaves one out is refused,
-    not dropped from both: the components in reversed topological order put
-    non-zeros right of their blocks."""
-    import graphlib
-
+    left of the groups of diagonal blocks, so a layout that leaves one out
+    is refused, not dropped from both: component labels in reversed
+    topological order give the wrong levels, which put non-zeros right of
+    their groups or between the blocks of one group."""
     lam = measures_gas_generator(4, 10.0)
-    order = graphlib.TopologicalSorter.static_order
-    monkeypatch.setattr(graphlib.TopologicalSorter, "static_order", lambda self: reversed(list(order(self))))
+    strong = dynamics._strong_components
+    monkeypatch.setattr(dynamics, "_strong_components", lambda *args: (lambda comp: comp.max() - comp)(strong(*args)))
     _pattern_blocks.cache_clear()
     with pytest.raises(SteadyStateError, match="block layout leaves [1-9][0-9]* non-zeros"):
         steady_state(lam)
+
+
+def test_each_group_is_inverted_once(monkeypatch):
+    """On the n = 5 gas R all three rounds reuse one ``np.linalg.inv`` per
+    group of equal diagonal blocks; nothing calls ``np.linalg.solve``."""
+    lam = measures_gas_generator(5, 10.0)
+    groups = _triangular_blocks(lam.positions, 1024).groups
+    calls = {"inv": 0, "solve": 0}
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(np.linalg, "inv", counting("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    steady_state(lam)
+    assert len(groups) == 8 and max(g.s for g in groups) <= _NUMPY_MAX_BLOCK
+    assert calls == {"inv": len(groups), "solve": 0}
 
 
 def same_partition(a, b):
@@ -549,11 +639,11 @@ def test_strong_components_match_scipy(name, rng):
 
 def test_exactly_singular_block_is_steady_state_error():
     """With no shift, the zero columns of reset-free dephasing make a
-    diagonal block exactly singular: ``np.linalg.solve`` refuses it, and the
+    diagonal block exactly singular: ``np.linalg.inv`` refuses it, and the
     solve reports the generator as numerically singular."""
     n = 4
     lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
-    assert max(blk.idx.size for blk in _triangular_blocks(lam.positions, 4**n)) <= _NUMPY_MAX_BLOCK
+    assert max(g.s for g in _triangular_blocks(lam.positions, 4**n).groups) <= _NUMPY_MAX_BLOCK
     with pytest.raises(SteadyStateError, match="numerically singular") as info:
         _inverse_iteration(lam, 0.0)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
@@ -565,9 +655,9 @@ def test_singular_components_in_different_blocks_are_degenerate():
     reports the degenerate null space."""
     n = 4
     lam = assemble(build_hamiltonian(HamiltonianSpec("ising", g=1.0, omega=1.0), n), [dephasing_generator(n, 0.5)], n=n)
-    blocks = _triangular_blocks(lam.positions, 4**n)
+    label, _ = layout_components(_triangular_blocks(lam.positions, 4**n), 4**n)
     null = np.flatnonzero(~np.any(lam.matrix, axis=0))
-    assert len({k for k, blk in enumerate(blocks) for c in null if c in blk.idx}) > 1
+    assert np.unique(label[null]).size > 1
     with pytest.raises(SteadyStateError, match="degenerate null space"):
         steady_state(lam)
 
