@@ -29,6 +29,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -293,8 +294,7 @@ def _start_block(d2: int) -> np.ndarray:
 _NUMPY_MAX_BLOCK = 128
 
 
-@dataclass(frozen=True, eq=False)
-class _Group:
+class _Group(NamedTuple):
     """``nb`` diagonal blocks of ``s`` coordinates on one level: ``rows`` of
     the block-triangular order, block after block, from ``start`` in the
     stacked buffer; and the non-zeros left of them, ``left`` (indices into
@@ -311,8 +311,7 @@ class _Group:
     starts: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class _Layout:
+class _Layout(NamedTuple):
     """R's coordinates in block-triangular order, ``perm``, its groups in
     solve order, the indices ``inside`` of R's values inside the blocks and
     their positions ``at`` in the stacked buffer, and the buffer positions
